@@ -33,6 +33,10 @@ _HERMITIAN_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-10
 
+# Edge of the square tiles the Hermiticity check compares: a 64 x 64 complex
+# tile and its transposed partner (128 KiB together) stay in cache.
+_HERMITIAN_TILE = 64
+
 # Device level -> two-qubit product state: d=1 -> |01>, d=2 -> |10>,
 # d=3 -> |00>, d=4 -> |11>.  Indexing amp by this array reorders the device
 # axis into the product basis |00>, |01>, |10>, |11>.
@@ -47,6 +51,26 @@ _SIGMA_YY = np.array(
     ],
     dtype=np.float64,
 )
+
+
+def _hermitian_deviation(e: np.ndarray) -> float:
+    """max |e - e^H| over all entries, without a full-size transposed copy.
+
+    Only the tile pairs on and above the diagonal are compared: the deviation
+    at (j, i) is the negated conjugate of the one at (i, j), so its modulus
+    is bitwise the same and the maximum equals the direct formula exactly
+    (NaN included, which np.max propagates).
+    """
+    n = e.shape[0]
+    b = _HERMITIAN_TILE
+    if n <= b:
+        return float(np.max(np.abs(e - e.conj().T)))
+    tile_max = [
+        np.max(np.abs(e[i:i + b, j:j + b] - e[j:j + b, i:i + b].conj().T))
+        for i in range(0, n, b)
+        for j in range(i, n, b)
+    ]
+    return float(np.max(tile_max))
 
 
 @dataclass(frozen=True)
@@ -90,7 +114,7 @@ class DensityMatrix:
         entries = np.array(self.entries, dtype=np.complex128)
         if entries.shape != (self.dim, self.dim):
             raise ValueError(f"expected a {self.dim}x{self.dim} matrix, got {entries.shape}")
-        herm_dev = float(np.max(np.abs(entries - entries.conj().T)))
+        herm_dev = _hermitian_deviation(entries)
         if herm_dev > _HERMITIAN_TOL:
             raise ValueError(f"matrix is not Hermitian (max deviation {herm_dev:.3e})")
         trace_dev = abs(complex(np.trace(entries)) - 1.0)
@@ -123,7 +147,6 @@ def reduce(state: PureState, keep: str) -> DensityMatrix:
     apparatus spins, second index fastest), "A" or "B" (one spin).
     """
     a = state.amp
-    conj = a.conj()
     if keep == "D":
         prod = a[_DEVICE_ROW_FOR_PRODUCT]
         rho = np.einsum("dab,eab->de", prod, prod.conj())
@@ -132,12 +155,13 @@ def reduce(state: PureState, keep: str) -> DensityMatrix:
         subscripts = "qrab,srab->qs" if keep == "Q1" else "qrab,qsab->rs"
         rho = np.einsum(subscripts, qq, qq.conj())
     elif keep == "M":
-        mm = state.dims.m_a * state.dims.m_b
-        rho = np.einsum("dab,dce->abce", a, conj).reshape(mm, mm)
+        # one zgemm with inner dimension 4: rho[ab, ce] = sum_d a[d,ab] a*[d,ce]
+        flat = a.reshape(4, state.dims.m_a * state.dims.m_b)
+        rho = flat.T @ flat.conj()
     elif keep == "A":
-        rho = np.einsum("dab,dcb->ac", a, conj)
+        rho = np.einsum("dab,dcb->ac", a, a.conj())
     elif keep == "B":
-        rho = np.einsum("dab,dac->bc", a, conj)
+        rho = np.einsum("dab,dac->bc", a, a.conj())
     else:
         raise ValueError(f"unknown subsystem selector {keep!r}")
     return DensityMatrix(rho.shape[0], rho)
@@ -187,11 +211,14 @@ def separability_structure_check(cs: CoefficientSet, tol: float = 1e-10) -> bool
     sum_d p_d |a_d><a_d| (x) |b_d><b_d| with |a_d> proportional to the
     (1 + x[d]) column, |b_d> likewise, and p_d = |c_d|^2 X_d Y_d / N^2.
     Returns True iff it matches the partial trace entrywise within ``tol``.
+
+    The mixture is formed as W W^H, one matrix product, where column d of
+    the factor W is sqrt(p_d) |a_d> (x) |b_d>; the residual against the
+    partial trace is taken in place.
     """
     rho_m = reduce(assemble_state(cs), "M").entries
     n_sq = _norm_squared(cs)
-    mm = cs.dims.m_a * cs.dims.m_b
-    rebuilt = np.zeros((mm, mm), dtype=np.complex128)
+    columns = []
     for d in range(4):
         w = abs(cs.c[d]) ** 2
         if w == 0.0:
@@ -201,5 +228,8 @@ def separability_structure_check(cs: CoefficientSet, tol: float = 1e-10) -> bool
         xd = float(_asum(_abs2(av)))
         yd = float(_asum(_abs2(bv)))
         v = np.kron(av / np.sqrt(xd), bv / np.sqrt(yd))
-        rebuilt += (w * xd * yd / n_sq) * np.outer(v, v.conj())
-    return float(np.max(np.abs(rebuilt - rho_m))) <= tol
+        columns.append(np.sqrt(w * xd * yd / n_sq) * v)
+    factor = np.stack(columns, axis=1)
+    residual = factor @ factor.conj().T
+    residual -= rho_m
+    return float(np.max(np.abs(residual))) <= tol

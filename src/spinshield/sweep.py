@@ -106,9 +106,17 @@ class SweepConfig:
             raise ValueError("trials must be >= 1")
         if len(self.c) != 4:
             raise ValueError("c must have length 4")
+        c = tuple(complex(v) for v in self.c)
+        if not np.isfinite(c).all():
+            raise ValueError("every device weight c must be finite")
+        if self.oracle_crosscheck_max_dim > oracle.ORACLE_MAX_DIM:
+            raise ValueError(
+                f"oracle_crosscheck_max_dim must be <= {oracle.ORACLE_MAX_DIM}, "
+                "the dense oracle's gate on m_a*m_b"
+            )
         object.__setattr__(self, "two_s_values", tuple(int(v) for v in self.two_s_values))
         object.__setattr__(self, "n_values", tuple(sorted(set(int(v) for v in self.n_values))))
-        object.__setattr__(self, "c", tuple(complex(v) for v in self.c))
+        object.__setattr__(self, "c", c)
 
 
 @dataclass(frozen=True)

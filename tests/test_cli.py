@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from spinshield import cli
 from spinshield.cli import CSV_HEADER, fnv1a64, main
@@ -122,6 +123,37 @@ def test_sweep_config_file(tmp_path):
     assert all(line.split(",")[2] == "2" for line in lines[1:])
     manifest = (out / "manifest.txt").read_text()
     assert "master_seed = 9" in manifest
+
+
+def test_sweep_crosscheck_bound_beyond_oracle_gate_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "flag"
+    assert run_cli(["sweep", "--two-s", "100", "--trials", "2",
+                    "--oracle-crosscheck-max-dim", "100000", "--out", str(out)]) == 2
+    assert "oracle_crosscheck_max_dim" in capsys.readouterr().err
+    assert not out.exists()
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("two_s = 100\ntrials = 2\noracle_crosscheck_max_dim = 100000\n")
+    out = tmp_path / "config"
+    assert run_cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "oracle_crosscheck_max_dim" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_sweep_nonfinite_device_weight_is_usage_error(tmp_path, capsys, value):
+    out = tmp_path / "flag"
+    assert run_cli(["sweep", "--two-s", "2", "--n", "1", "--trials", "1",
+                    f"--c3={value}", "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"two_s = 2\nn = 1\ntrials = 1\nc4 = {value}\n")
+    out = tmp_path / "config"
+    assert run_cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_config_file_unknown_key(tmp_path):

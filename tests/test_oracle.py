@@ -15,6 +15,7 @@ from spinshield import (
     separability_structure_check,
     wootters_concurrence,
 )
+from spinshield import oracle
 from util import BELL_C, bell_set, random_c, random_set, worked_example
 
 BELL_PROJECTOR = np.zeros((4, 4), dtype=complex)
@@ -75,6 +76,30 @@ def test_reduce_dimensions_per_selector():
 def test_reduce_unknown_selector():
     with pytest.raises(ValueError, match="selector"):
         reduce(assemble_state(bell_set(0)), "Z")
+
+
+def _random_four_level_set(seed, two_s):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    dims = SpinDims(two_s)
+    shape = (4, dims.m_a)
+    x = 0.4 * (rng.random(shape) + 1j * rng.random(shape))
+    y = 0.4 * (rng.random(shape) + 1j * rng.random(shape))
+    c = rng.random(4) * np.exp(2j * np.pi * rng.random(4))
+    return CoefficientSet(dims, c / np.linalg.norm(c), x, y)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reduce_apparatus_matches_einsum_definition(seed):
+    sets = [
+        _random_four_level_set(seed, two_s=5),
+        random_set(seed, 6, 4, x_max=0.5, c=random_c(seed), complex_mode=True),
+    ]
+    for cs in sets:
+        state = assemble_state(cs)
+        a = state.amp
+        mm = cs.dims.m_a * cs.dims.m_b
+        expected = np.einsum("dab,dce->abce", a, a.conj()).reshape(mm, mm)
+        np.testing.assert_allclose(reduce(state, "M").entries, expected, rtol=0, atol=1e-15)
 
 
 def test_reduce_worked_example_entries():
@@ -175,6 +200,27 @@ def test_separability_random_sets(seed, two_s_a, two_s_b, complex_mode):
     assert separability_structure_check(cs, 1e-10)
 
 
+@pytest.mark.parametrize("scale, expected", [(10.0, False), (0.1, True)])
+def test_separability_detects_a_perturbed_partial_trace(monkeypatch, scale, expected):
+    tol = 1e-10
+    cs = random_set(5, 3, 2, x_max=0.5, c=random_c(6), complex_mode=True)
+    assert separability_structure_check(cs, tol)
+    real_reduce = oracle.reduce
+    delta = scale * tol * np.exp(0.3j)
+
+    def reduce_with_hermitian_bump(state, keep):
+        rho = real_reduce(state, keep)
+        if keep != "M":
+            return rho
+        entries = rho.entries.copy()
+        entries[0, 1] += delta
+        entries[1, 0] += np.conj(delta)
+        return DensityMatrix(rho.dim, entries)
+
+    monkeypatch.setattr(oracle, "reduce", reduce_with_hermitian_bump)
+    assert separability_structure_check(cs, tol) is expected
+
+
 # ---------------------------------------------------------------------------
 # general device mode (all four levels populated)
 
@@ -267,6 +313,23 @@ def test_density_matrix_rejects_non_hermitian():
 def test_density_matrix_rejects_bad_trace():
     with pytest.raises(ValueError, match="trace"):
         DensityMatrix(2, np.eye(2))
+
+
+@pytest.mark.parametrize("n", [1, 4, 63, 64, 65, 130])
+def test_tiled_hermitian_deviation_is_bitwise_direct(n):
+    rng = np.random.Generator(np.random.PCG64(n))
+    for _ in range(3):
+        e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        assert oracle._hermitian_deviation(e) == np.max(np.abs(e - e.conj().T))
+
+
+def test_density_matrix_rejects_defect_in_far_corner_tile():
+    m = np.eye(130, dtype=complex) / 130
+    m[0, 129] = 1e-9
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensityMatrix(130, m)
+    m[129, 0] = 1e-9
+    assert DensityMatrix(130, m).dim == 130
 
 
 def test_density_matrix_entries_read_only():

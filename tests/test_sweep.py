@@ -5,6 +5,7 @@ import pytest
 
 import spinshield.sweep as sweep_mod
 from spinshield import (
+    ORACLE_MAX_DIM,
     EntanglementReport,
     SweepConfig,
     SweepError,
@@ -183,11 +184,19 @@ def test_sweep_error_is_picklable():
         {"n_values": (4,)},
         {"trials": 0},
         {"c": (0, 0, 1)},
+        {"c": (0, 0, float("nan"), 1)},
+        {"c": (0, 0, float("inf"), 0)},
+        {"c": (0, 0, complex(1, -float("inf")), 0)},
+        {"oracle_crosscheck_max_dim": ORACLE_MAX_DIM + 1},
     ],
 )
 def test_config_rejects_invalid(kwargs):
     with pytest.raises(ValueError):
         SweepConfig(**kwargs)
+
+
+def test_config_accepts_crosscheck_bound_at_oracle_gate():
+    assert SweepConfig(oracle_crosscheck_max_dim=ORACLE_MAX_DIM).oracle_crosscheck_max_dim == ORACLE_MAX_DIM
 
 
 def test_config_normalizes_n_order():
