@@ -15,7 +15,7 @@ from spinshield import (
     SpinDims,
     concurrence_closed,
     first_order_expansion,
-    one_tangle_closed,
+    monogamy_slack,
     sample_coefficients,
     trial_rng,
     x_max_schedule,
@@ -38,7 +38,7 @@ def study(two_s: int, draws: int, seed: int) -> None:
         for t in scales:
             scaled = cs.scaled(t)
             c = concurrence_closed(scaled)
-            gap = abs(c * c - one_tangle_closed(scaled))
+            gap = monogamy_slack(scaled)
             t1, _ = first_order_expansion(scaled)
             ratio = f"{gap / previous:8.3f}" if previous else "       -"
             print(f"  {t:>10.5f} {gap:>12.3e} {ratio} {abs(c * c - t1):>12.3e}")

@@ -178,7 +178,8 @@ def _resolve_sweep_config(args) -> SweepConfig:
     defaults = SweepConfig()
     c3 = fields["c3"] if fields["c3"] is not None else defaults.c[2]
     c4 = fields["c4"] if fields["c4"] is not None else defaults.c[3]
-    scale = np.sqrt(abs(c3) ** 2 + abs(c4) ** 2)
+    # hypot neither overflows for huge weights nor underflows for tiny ones
+    scale = float(np.hypot(abs(c3), abs(c4)))
     if scale == 0.0:
         raise UsageError("c3 and c4 cannot both be zero")
     try:
@@ -351,7 +352,7 @@ def _verify_case(master_seed: int, family_index: int, case: int, two_s_max: int)
 
 def _check_monogamy(cs, tol: float) -> bool:
     tau = closedform.one_tangle_closed(cs)
-    return closedform.monogamy_slack(cs) >= -1e-12 and tau <= 1.0 + 1e-12
+    return closedform.monogamy_slack(cs) >= 0.0 and tau <= 1.0 + 1e-12
 
 
 def _check_oracle_concurrence(cs, tol: float) -> bool:
@@ -379,15 +380,9 @@ def _check_separability(cs, tol: float) -> bool:
 
 def _check_quadratic_gap(cs, tol: float) -> bool:
     def gap(t: float) -> float:
-        scaled = cs.scaled(t)
-        c = closedform.concurrence_closed(scaled)
-        return c * c - closedform.one_tangle_closed(scaled)
+        return -closedform.monogamy_slack(cs.scaled(t))
 
-    for t in (0.125, 0.0625):
-        f_t = gap(t)
-        if abs(f_t) >= 1e-14 and not abs(gap(t / 2.0)) <= 0.4 * abs(f_t):
-            return False
-    return True
+    return all(abs(gap(t / 2.0)) <= 0.4 * abs(gap(t)) for t in (0.125, 0.0625))
 
 
 _VERIFY_CHECKS = {

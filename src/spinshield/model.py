@@ -35,11 +35,6 @@ __all__ = [
     "normalization",
 ]
 
-# Vectors at least this long are accumulated with exact (fsum) summation;
-# shorter ones go through numpy's pairwise sum.  Large-spin sweeps add up
-# to ~1e5 terms per branch sum.
-COMPENSATED_SUM_MIN = 10_000
-
 _C_NORM_TOL = 1e-12
 
 
@@ -55,17 +50,24 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real**2 + z.imag**2
 
 
-def _asum(values: np.ndarray):
-    """Sum a 1-d array, switching to compensated summation for long vectors."""
-    if values.size >= COMPENSATED_SUM_MIN:
-        if np.iscomplexobj(values):
-            return complex(math.fsum(values.real), math.fsum(values.imag))
-        return math.fsum(values)
-    return complex(values.sum()) if np.iscomplexobj(values) else float(values.sum())
-
-
 def _frozen_array(values, shape) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128)
+    """A write-protected complex128 array holding ``values``, checked for shape and finiteness.
+
+    A write-protected, C-contiguous complex128 array that owns its data (as
+    :func:`sample_coefficients` builds them) is adopted as it is; anything
+    else is copied, so a caller's array is never frozen or aliased.
+    """
+    flags = values.flags if isinstance(values, np.ndarray) else None
+    if (
+        flags is not None
+        and values.dtype == np.complex128
+        and flags.owndata
+        and flags.c_contiguous
+        and not flags.writeable
+    ):
+        arr = values
+    else:
+        arr = np.array(values, dtype=np.complex128, order="C")
     if arr.shape != shape:
         raise ValueError(f"expected array of shape {shape}, got {arr.shape}")
     if not np.isfinite(arr).all():
@@ -124,7 +126,7 @@ class CoefficientSet:
         c = _frozen_array(self.c, (4,))
         x = _frozen_array(self.x, (4, self.dims.m_a))
         y = _frozen_array(self.y, (4, self.dims.m_b))
-        norm_sq = float(np.sum(_abs2(c)))
+        norm_sq = sum(v.real * v.real + v.imag * v.imag for v in c.tolist())
         if abs(norm_sq - 1.0) > _C_NORM_TOL:
             raise ValueError(f"device weights must satisfy sum |c_d|^2 = 1, got {norm_sq!r}")
         object.__setattr__(self, "c", c)
@@ -151,7 +153,7 @@ class EntanglementReport:
     """Concurrence and one-tangle of a single draw, with their gap.
 
     ``gap`` is concurrence**2 - one_tangle and ``monogamy_slack`` its exact
-    negation; the slack is nonnegative up to rounding (1e-12 floor).
+    negation; the slack is nonnegative (tau >= C**2, Coffman-Kundu-Wootters).
     """
 
     concurrence: float
@@ -164,7 +166,7 @@ class EntanglementReport:
             raise ValueError(f"concurrence out of [0,1]: {self.concurrence!r}")
         if not 0.0 <= self.one_tangle <= 1.0:
             raise ValueError(f"one_tangle out of [0,1]: {self.one_tangle!r}")
-        if self.monogamy_slack < -1e-12:
+        if not self.monogamy_slack >= 0.0:
             raise ValueError(f"monogamy violated: slack = {self.monogamy_slack!r}")
         if self.gap != -self.monogamy_slack:
             raise ValueError("gap must equal -monogamy_slack exactly")
@@ -208,19 +210,21 @@ def sample_coefficients(
     """
     if not x_max > 0 or not y_max > 0:
         raise ValueError("x_max and y_max must be positive")
-
-    def draw_row(m: int, bound: float) -> np.ndarray:
-        mod = bound * (1.0 - rng.random(m))
-        if complex_mode:
-            return mod * np.exp(2j * np.pi * rng.random(m))
-        return mod.astype(np.complex128)
-
     x = np.zeros((4, dims.m_a), dtype=np.complex128)
     y = np.zeros((4, dims.m_b), dtype=np.complex128)
-    x[2] = draw_row(dims.m_a, x_max)
-    x[3] = draw_row(dims.m_a, x_max)
-    y[2] = draw_row(dims.m_b, y_max)
-    y[3] = draw_row(dims.m_b, y_max)
+    for rows, bound in ((x[2:4], x_max), (y[2:4], y_max)):
+        if complex_mode:
+            for row in rows:
+                mod = bound * (1.0 - rng.random(row.size))
+                row[:] = mod * np.exp(2j * np.pi * rng.random(row.size))
+        else:
+            # one call fills both rows from the stream in row order
+            u = rng.random(rows.shape)
+            np.subtract(1.0, u, out=u)
+            np.multiply(bound, u, out=rows.real)
+    # the arrays are frozen here, so CoefficientSet adopts them without a copy
+    x.setflags(write=False)
+    y.setflags(write=False)
     return CoefficientSet(dims, c, x, y)
 
 
@@ -230,8 +234,8 @@ def _norm_squared(cs: CoefficientSet) -> float:
         w = abs(cs.c[d]) ** 2
         if w == 0.0:
             continue
-        xd = _asum(_abs2(1.0 + cs.x[d]))
-        yd = _asum(_abs2(1.0 + cs.y[d]))
+        xd = float(_abs2(1.0 + cs.x[d]).sum())
+        yd = float(_abs2(1.0 + cs.y[d]).sum())
         total += w * xd * yd
     return total
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CoefficientSet, SpinDims, _abs2, _asum, _norm_squared, normalization
+from .model import CoefficientSet, SpinDims, _abs2, _norm_squared, normalization
 
 __all__ = [
     "ORACLE_MAX_DIM",
@@ -225,8 +225,8 @@ def separability_structure_check(cs: CoefficientSet, tol: float = 1e-10) -> bool
             continue
         av = 1.0 + cs.x[d]
         bv = 1.0 + cs.y[d]
-        xd = float(_asum(_abs2(av)))
-        yd = float(_asum(_abs2(bv)))
+        xd = float(_abs2(av).sum())
+        yd = float(_abs2(bv).sum())
         v = np.kron(av / np.sqrt(xd), bv / np.sqrt(yd))
         columns.append(np.sqrt(w * xd * yd / n_sq) * v)
     factor = np.stack(columns, axis=1)

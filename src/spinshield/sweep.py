@@ -140,7 +140,7 @@ class SweepPoint:
             raise ValueError("mean concurrence and one-tangle must lie in [0, 1]")
         if min(self.std_c, self.std_tau, self.std_gap) < 0.0:
             raise ValueError("standard deviations must be nonnegative")
-        if self.min_monogamy_slack < -1e-12:
+        if not self.min_monogamy_slack >= 0.0:
             raise ValueError(f"monogamy violated: min slack {self.min_monogamy_slack!r}")
 
 
@@ -187,15 +187,20 @@ def _crosscheck_trial(cs, report: EntanglementReport, two_s: int, n: int, trial:
         )
 
 
-def _compute_point(config: SweepConfig, n: int, two_s: int) -> SweepPoint:
+def _trial_reports(
+    config: SweepConfig, n: int, two_s: int, first: int, stop: int
+) -> list[EntanglementReport]:
+    """Reports of trials first .. stop - 1 at one gridpoint, in trial order."""
     x_max = x_max_schedule(two_s, n)
     dims = SpinDims(two_s)
     crosscheck = dims.m_a * dims.m_b <= config.oracle_crosscheck_max_dim
+    c = np.array(config.c)
+    c.setflags(write=False)  # every draw adopts this array instead of copying the tuple
     reports = []
-    for trial in range(1, config.trials + 1):
+    for trial in range(first, stop):
         try:
             rng = trial_rng(config.master_seed, two_s, trial)
-            cs = sample_coefficients(dims, x_max, x_max, config.c, rng, config.complex_mode)
+            cs = sample_coefficients(dims, x_max, x_max, c, rng, config.complex_mode)
             report = closedform.evaluate(cs)
             if crosscheck:
                 _crosscheck_trial(cs, report, two_s, n, trial)
@@ -204,28 +209,46 @@ def _compute_point(config: SweepConfig, n: int, two_s: int) -> SweepPoint:
         except Exception as exc:
             raise SweepError(two_s, n, trial, str(exc)) from exc
         reports.append(report)
-    return SweepPoint(two_s=two_s, n=n, trials=config.trials, **summarize(reports))
+    return reports
 
 
-def _point_task(task: tuple[SweepConfig, int, int]) -> SweepPoint:
-    return _compute_point(*task)
+def _chunk_task(task: tuple[SweepConfig, int, int, int, int]) -> list[EntanglementReport]:
+    return _trial_reports(*task)
 
 
 def run_sweep(config: SweepConfig, workers: int | None = None) -> list[SweepPoint]:
     """Evaluate every (n, two_s) gridpoint; n-major, two_s-minor output order.
 
     ``workers`` bounds the number of worker processes (default: all cores).
-    The worker count cannot change the results: every trial owns a stream
-    derived only from (master_seed, two_s, trial), and points are aggregated
-    in a fixed order.  Any failed trial aborts the sweep with a SweepError
-    naming its coordinates; trials are never silently skipped.
+    With fewer gridpoints than twice the workers, each point's trials are
+    split into contiguous chunks that run as separate tasks, so a single
+    large point still uses every core.  The worker count cannot change the
+    results: every trial owns a stream derived only from (master_seed,
+    two_s, trial), and each point is aggregated from its reports in trial
+    order.  Any failed trial aborts the sweep with a SweepError naming its
+    coordinates; trials are never silently skipped.
     """
     if workers is None:
         workers = os.cpu_count() or 1
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    tasks = [(config, n, two_s) for n in config.n_values for two_s in config.two_s_values]
+    points = [(n, two_s) for n in config.n_values for two_s in config.two_s_values]
+    chunks = 1
+    if workers > 1 and len(points) < 2 * workers:
+        chunks = min(config.trials, -(-2 * workers // len(points)))  # at least 2 tasks per worker
+    bounds = [1 + config.trials * i // chunks for i in range(chunks + 1)]
+    tasks = [(config, n, two_s, lo, hi) for n, two_s in points for lo, hi in zip(bounds, bounds[1:])]
     if workers == 1 or len(tasks) == 1:
-        return [_point_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(_point_task, tasks))
+        results = [_chunk_task(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            results = list(pool.map(_chunk_task, tasks))
+    return [
+        SweepPoint(
+            two_s=two_s,
+            n=n,
+            trials=config.trials,
+            **summarize(r for part in results[i * chunks:(i + 1) * chunks] for r in part),
+        )
+        for i, (n, two_s) in enumerate(points)
+    ]

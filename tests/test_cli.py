@@ -175,6 +175,40 @@ def test_sweep_runtime_failure_exit_1_with_diagnostic(tmp_path, monkeypatch, cap
     assert not (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "weights,expected",
+    [
+        (["--c3", "1e200"], (1.0, 1.0 / np.sqrt(2) / 1e200)),
+        (["--c3", "1e-200", "--c4", "0"], (1.0, 0.0)),
+    ],
+)
+def test_sweep_extreme_device_weights_are_normalized(tmp_path, weights, expected):
+    # the norm of (c3, c4) neither overflows nor underflows
+    out = tmp_path / "r"
+    assert run_cli(["sweep", "--two-s", "2", "--n", "1", "--trials", "2",
+                    *weights, "--out", str(out)]) == 0
+    manifest = (out / "manifest.txt").read_text()
+    c3 = complex(manifest.split("c3 = ")[1].split("\n")[0])
+    c4 = complex(manifest.split("c4 = ")[1].split("\n")[0])
+    assert c3 == pytest.approx(expected[0], rel=1e-15)
+    assert c4 == pytest.approx(expected[1], rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "grid", [["--two-s", "2000", "--n", "1,2", "--trials", "7"], ["--two-s", "5000", "--n", "1", "--trials", "5"]]
+)
+def test_sweep_chunked_points_do_not_depend_on_workers(tmp_path, monkeypatch, grid):
+    # fewer gridpoints than twice the workers: trials are split into chunks,
+    # 7 and 5 trials split unevenly across 2 and 3 workers
+    outputs = []
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv(cli.WORKERS_ENV, workers)
+        out = tmp_path / f"w{workers}"
+        assert run_cli(["sweep", *grid, "--out", str(out)]) == 0
+        outputs.append((out / "sweep.csv").read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_sweep_custom_weights_are_normalized(tmp_path):
     out = tmp_path / "r"
     assert run_cli(["sweep", "--two-s", "2", "--n", "1", "--trials", "1",

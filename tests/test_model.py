@@ -93,6 +93,26 @@ def test_coefficient_set_arrays_read_only():
         cs.x[2, 0] = 9.0
 
 
+def test_coefficient_set_adopts_only_frozen_owned_arrays():
+    dims = SpinDims(1)
+    x = np.zeros((4, 2), dtype=complex)
+    cs = CoefficientSet(dims, BELL_C, x, np.zeros((4, 2)))
+    # a caller's writable array is copied and left writable
+    assert x.flags.writeable and not np.shares_memory(cs.x, x)
+    x.setflags(write=False)
+    assert CoefficientSet(dims, BELL_C, x, np.zeros((4, 2))).x is x
+    # an adopted array still passes every check
+    bad = np.zeros((4, 2), dtype=complex)
+    bad[2, 0] = np.inf
+    bad.setflags(write=False)
+    with pytest.raises(ValueError, match="finite"):
+        CoefficientSet(dims, BELL_C, bad, np.zeros((4, 2)))
+    wide = np.zeros((4, 3), dtype=complex)
+    wide.setflags(write=False)
+    with pytest.raises(ValueError, match="shape"):
+        CoefficientSet(dims, BELL_C, wide, np.zeros((4, 2)))
+
+
 def test_two_level_mode_detection():
     assert worked_example().is_two_level
     dims = SpinDims(0)

@@ -1,3 +1,4 @@
+import multiprocessing
 import pickle
 
 import numpy as np
@@ -99,7 +100,7 @@ def test_run_sweep_output_order_is_n_major():
 def test_run_sweep_monogamy_contract():
     config = SweepConfig(two_s_values=(2, 10), n_values=(1,), trials=25)
     for point in run_sweep(config, workers=1):
-        assert point.min_monogamy_slack >= -1e-12
+        assert point.min_monogamy_slack >= 0.0
         assert 0.0 <= point.mean_tau <= 1.0
 
 
@@ -128,6 +129,27 @@ def test_run_sweep_oracle_crosscheck_abort_names_the_trial(monkeypatch):
         run_sweep(config, workers=1)
     assert (err.value.two_s, err.value.n, err.value.trial) == (2, 1, 1)
     assert "two_s=2" in str(err.value) and "trial=1" in str(err.value)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_run_sweep_error_in_a_chunk_names_the_global_trial(monkeypatch, workers):
+    # one point on 2 or 3 workers runs its 7 trials as chunks; the failing
+    # trial 4 lies inside a later chunk and is still reported as trial 4
+    if workers > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched trial_rng reaches pool workers only through fork")
+    original = sweep_mod.trial_rng
+
+    def failing_rng(master_seed, two_s, trial):
+        if trial == 4:
+            raise RuntimeError("injected failure")
+        return original(master_seed, two_s, trial)
+
+    monkeypatch.setattr(sweep_mod, "trial_rng", failing_rng)
+    config = SweepConfig(two_s_values=(20,), n_values=(2,), trials=7)
+    with pytest.raises(SweepError) as err:
+        run_sweep(config, workers=workers)
+    assert (err.value.two_s, err.value.n, err.value.trial) == (20, 2, 4)
+    assert "injected failure" in str(err.value)
 
 
 def test_run_sweep_skips_crosscheck_above_gate():
