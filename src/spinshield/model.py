@@ -50,12 +50,14 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real**2 + z.imag**2
 
 
-def _frozen_array(values, shape) -> np.ndarray:
+def _frozen_array(values, shape, check_finite: bool = True) -> np.ndarray:
     """A write-protected complex128 array holding ``values``, checked for shape and finiteness.
 
     A write-protected, C-contiguous complex128 array that owns its data (as
-    :func:`sample_coefficients` builds them) is adopted as it is; anything
-    else is copied, so a caller's array is never frozen or aliased.
+    :func:`sample_coefficients` and the dense oracle build them) is adopted
+    as it is; anything else is copied, so a caller's array is never frozen
+    or aliased.  ``check_finite=False`` skips the finiteness pass for a
+    caller whose own tolerance checks already fail on any non-finite entry.
     """
     flags = values.flags if isinstance(values, np.ndarray) else None
     if (
@@ -70,7 +72,7 @@ def _frozen_array(values, shape) -> np.ndarray:
         arr = np.array(values, dtype=np.complex128, order="C")
     if arr.shape != shape:
         raise ValueError(f"expected array of shape {shape}, got {arr.shape}")
-    if not np.isfinite(arr).all():
+    if check_finite and not np.isfinite(arr).all():
         raise ValueError("array entries must be finite")
     arr.setflags(write=False)
     return arr
@@ -132,16 +134,17 @@ class CoefficientSet:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
+        # kept outside the dataclass fields, so == and repr do not see it
+        object.__setattr__(
+            self,
+            "_two_level",
+            bool(c[0] == 0 and c[1] == 0 and not x[:2].any() and not y[:2].any()),
+        )
 
     @property
     def is_two_level(self) -> bool:
         """True when only the d=3, d=4 device levels carry weight or perturbations."""
-        return (
-            self.c[0] == 0
-            and self.c[1] == 0
-            and not self.x[:2].any()
-            and not self.y[:2].any()
-        )
+        return self._two_level
 
     def scaled(self, t: float) -> "CoefficientSet":
         """The same draw with every perturbation multiplied by ``t``."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CoefficientSet, SpinDims, _abs2, _norm_squared, normalization
+from .model import CoefficientSet, SpinDims, _abs2, _frozen_array, _norm_squared, normalization
 
 __all__ = [
     "ORACLE_MAX_DIM",
@@ -34,7 +34,8 @@ _TRACE_TOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-10
 
 # Edge of the square tiles the Hermiticity check compares: a 64 x 64 complex
-# tile and its transposed partner (128 KiB together) stay in cache.
+# tile and its transposed partner (128 KiB together) stay in cache.  The
+# separability residual is formed in row strips of the same height.
 _HERMITIAN_TILE = 64
 
 # Device level -> two-qubit product state: d=1 -> |01>, d=2 -> |10>,
@@ -73,27 +74,36 @@ def _hermitian_deviation(e: np.ndarray) -> float:
     return float(np.max(tile_max))
 
 
+def _invalid(arr: np.ndarray, message: str) -> ValueError:
+    """The error for a failed tolerance check, naming non-finite entries as the cause.
+
+    Every check is written ``not dev <= tol``, so a NaN or inf entry fails it;
+    the finiteness pass runs only then, to pick the message.
+    """
+    if not np.isfinite(arr).all():
+        return ValueError("array entries must be finite")
+    return ValueError(message)
+
+
 @dataclass(frozen=True)
 class PureState:
     """Dense amplitude tensor of shape (4, m_a, m_b).
 
     Axis 0 runs over the device levels d = 1..4, then the two apparatus
     indices; flattening in C order puts the device index slowest and the
-    second apparatus index fastest.  Unit norm within 1e-12 is enforced.
+    second apparatus index fastest.  Unit norm within 1e-12 and finite
+    entries are enforced; a frozen array is adopted without a copy under the
+    rule of :class:`~spinshield.model.CoefficientSet`.
     """
 
     dims: SpinDims
     amp: np.ndarray
 
     def __post_init__(self):
-        amp = np.array(self.amp, dtype=np.complex128)
-        expected = (4, self.dims.m_a, self.dims.m_b)
-        if amp.shape != expected:
-            raise ValueError(f"amplitude tensor must have shape {expected}, got {amp.shape}")
+        amp = _frozen_array(self.amp, (4, self.dims.m_a, self.dims.m_b), check_finite=False)
         norm_sq = float(np.sum(_abs2(amp)))
-        if abs(norm_sq - 1.0) > 1e-12:
-            raise ValueError(f"state norm^2 deviates from 1 by {norm_sq - 1.0:.3e}")
-        amp.setflags(write=False)
+        if not abs(norm_sq - 1.0) <= 1e-12:
+            raise _invalid(amp, f"state norm^2 deviates from 1 by {norm_sq - 1.0:.3e}")
         object.__setattr__(self, "amp", amp)
 
 
@@ -101,26 +111,26 @@ class PureState:
 class DensityMatrix:
     """Hermitian, unit-trace matrix of a subsystem.
 
-    Hermiticity and trace are checked at construction; positivity (every
-    eigenvalue >= -1e-10, the tolerance-friendly floor for nearly
-    rank-deficient reductions) is part of the invariant and is verified on
-    demand through :meth:`min_eigenvalue`.
+    Hermiticity, trace and finite entries are checked at construction;
+    positivity (every eigenvalue >= -1e-10, the tolerance-friendly floor for
+    nearly rank-deficient reductions) is part of the invariant and is
+    verified on demand through :meth:`min_eigenvalue`.  A frozen array is
+    adopted without a copy under the rule of
+    :class:`~spinshield.model.CoefficientSet`, so the matrices :func:`reduce`
+    returns are never copied.
     """
 
     dim: int
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = np.array(self.entries, dtype=np.complex128)
-        if entries.shape != (self.dim, self.dim):
-            raise ValueError(f"expected a {self.dim}x{self.dim} matrix, got {entries.shape}")
+        entries = _frozen_array(self.entries, (self.dim, self.dim), check_finite=False)
         herm_dev = _hermitian_deviation(entries)
-        if herm_dev > _HERMITIAN_TOL:
-            raise ValueError(f"matrix is not Hermitian (max deviation {herm_dev:.3e})")
+        if not herm_dev <= _HERMITIAN_TOL:
+            raise _invalid(entries, f"matrix is not Hermitian (max deviation {herm_dev:.3e})")
         trace_dev = abs(complex(np.trace(entries)) - 1.0)
-        if trace_dev > _TRACE_TOL:
-            raise ValueError(f"trace deviates from 1 by {trace_dev:.3e}")
-        entries.setflags(write=False)
+        if not trace_dev <= _TRACE_TOL:
+            raise _invalid(entries, f"trace deviates from 1 by {trace_dev:.3e}")
         object.__setattr__(self, "entries", entries)
 
     def min_eigenvalue(self) -> float:
@@ -136,6 +146,7 @@ def assemble_state(cs: CoefficientSet) -> PureState:
         )
     n = normalization(cs)
     amp = (cs.c[:, None, None] / n) * (1.0 + cs.x)[:, :, None] * (1.0 + cs.y)[:, None, :]
+    amp.setflags(write=False)
     return PureState(cs.dims, amp)
 
 
@@ -164,6 +175,8 @@ def reduce(state: PureState, keep: str) -> DensityMatrix:
         rho = np.einsum("dab,dac->bc", a, a.conj())
     else:
         raise ValueError(f"unknown subsystem selector {keep!r}")
+    # frozen, so DensityMatrix adopts it without a copy
+    rho.setflags(write=False)
     return DensityMatrix(rho.shape[0], rho)
 
 
@@ -212,9 +225,10 @@ def separability_structure_check(cs: CoefficientSet, tol: float = 1e-10) -> bool
     (1 + x[d]) column, |b_d> likewise, and p_d = |c_d|^2 X_d Y_d / N^2.
     Returns True iff it matches the partial trace entrywise within ``tol``.
 
-    The mixture is formed as W W^H, one matrix product, where column d of
-    the factor W is sqrt(p_d) |a_d> (x) |b_d>; the residual against the
-    partial trace is taken in place.
+    The mixture is W W^H, where column d of the factor W is
+    sqrt(p_d) |a_d> (x) |b_d>.  The residual W W^H - rho_M is formed one
+    strip of rows at a time, so no full-size temporary is allocated; the
+    strip maxima are combined with np.max, which propagates a NaN.
     """
     rho_m = reduce(assemble_state(cs), "M").entries
     n_sq = _norm_squared(cs)
@@ -230,6 +244,11 @@ def separability_structure_check(cs: CoefficientSet, tol: float = 1e-10) -> bool
         v = np.kron(av / np.sqrt(xd), bv / np.sqrt(yd))
         columns.append(np.sqrt(w * xd * yd / n_sq) * v)
     factor = np.stack(columns, axis=1)
-    residual = factor @ factor.conj().T
-    residual -= rho_m
-    return float(np.max(np.abs(residual))) <= tol
+    factor_h = factor.conj().T
+    b = _HERMITIAN_TILE
+    strip_max = []
+    for i in range(0, factor.shape[0], b):
+        residual = factor[i:i + b] @ factor_h
+        residual -= rho_m[i:i + b]
+        strip_max.append(np.max(np.abs(residual)))
+    return float(np.max(strip_max)) <= tol

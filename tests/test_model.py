@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,6 +124,16 @@ def test_two_level_mode_detection():
     perturbed_row1 = np.zeros((4, 1))
     perturbed_row1[0, 0] = 0.1
     assert not CoefficientSet(dims, BELL_C, perturbed_row1, np.zeros((4, 1))).is_two_level
+
+
+def test_two_level_flag_is_not_a_field():
+    cs = worked_example()
+    general = CoefficientSet(SpinDims(1), np.full(4, 0.5), cs.x, cs.y)
+    assert [f.name for f in dataclasses.fields(cs)] == ["dims", "c", "x", "y"]
+    assert "two_level" not in repr(cs)
+    assert cs.is_two_level and not general.is_two_level
+    assert pickle.loads(pickle.dumps(cs)).is_two_level
+    assert not pickle.loads(pickle.dumps(general)).is_two_level
 
 
 def test_scaled_multiplies_perturbations_only():

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from spinshield import (
     CoefficientSet,
     DensityMatrix,
     ORACLE_MAX_DIM,
+    PureState,
     SpinDims,
     assemble_state,
     concurrence_closed,
@@ -114,6 +117,14 @@ def test_reduce_worked_example_entries():
     assert np.max(np.abs(rho[mask])) == 0.0
 
 
+@pytest.mark.parametrize("keep", ["D", "Q1", "Q2", "M", "A", "B"])
+def test_reduce_returns_read_only_entries(keep):
+    rho = reduce(assemble_state(random_set(3, 2, 3, x_max=0.4)), keep)
+    assert not rho.entries.flags.writeable
+    with pytest.raises(ValueError):
+        rho.entries[0, 0] = 0.5
+
+
 # ---------------------------------------------------------------------------
 # wootters_concurrence
 
@@ -219,6 +230,45 @@ def test_separability_detects_a_perturbed_partial_trace(monkeypatch, scale, expe
 
     monkeypatch.setattr(oracle, "reduce", reduce_with_hermitian_bump)
     assert separability_structure_check(cs, tol) is expected
+
+
+@pytest.mark.parametrize("scale, expected", [(10.0, False), (0.1, True)])
+def test_separability_detects_a_bump_in_the_last_row_strip(monkeypatch, scale, expected):
+    # m_a m_b = 289 is not a multiple of the 64-row strip; rows 287 and 288
+    # both fall in the short last strip
+    tol = 1e-10
+    cs = random_set(5, 16, 16, x_max=0.5, c=random_c(6), complex_mode=True)
+    assert cs.dims.m_a * cs.dims.m_b == 289
+    assert separability_structure_check(cs, tol)
+    real_reduce = oracle.reduce
+    delta = scale * tol * np.exp(0.7j)
+
+    def reduce_with_hermitian_bump(state, keep):
+        rho = real_reduce(state, keep)
+        if keep != "M":
+            return rho
+        entries = rho.entries.copy()
+        entries[288, 287] += delta
+        entries[287, 288] += np.conj(delta)
+        return DensityMatrix(rho.dim, entries)
+
+    monkeypatch.setattr(oracle, "reduce", reduce_with_hermitian_bump)
+    assert separability_structure_check(cs, tol) is expected
+
+
+def test_separability_fails_on_nan_in_partial_trace(monkeypatch):
+    # the NaN sits in the second of five row strips, so a maximum that
+    # skipped NaN would miss it
+    cs = random_set(5, 16, 16, x_max=0.5, c=random_c(6), complex_mode=True)
+    real_reduce = oracle.reduce
+
+    def reduce_with_nan(state, keep):
+        entries = real_reduce(state, keep).entries.copy()
+        entries[100, 5] = np.nan
+        return SimpleNamespace(dim=entries.shape[0], entries=entries)
+
+    monkeypatch.setattr(oracle, "reduce", reduce_with_nan)
+    assert separability_structure_check(cs, 1e-10) is False
 
 
 # ---------------------------------------------------------------------------
@@ -336,3 +386,57 @@ def test_density_matrix_entries_read_only():
     rho = DensityMatrix(2, np.eye(2) / 2)
     with pytest.raises(ValueError):
         rho.entries[0, 0] = 5.0
+
+
+def test_density_matrix_adopts_only_frozen_owned_arrays():
+    frozen = np.eye(4, dtype=complex) / 4
+    frozen.setflags(write=False)
+    assert DensityMatrix(4, frozen).entries is frozen
+    # a caller's writable array is copied and left writable
+    writable = np.eye(4, dtype=complex) / 4
+    rho = DensityMatrix(4, writable)
+    assert writable.flags.writeable and not np.shares_memory(rho.entries, writable)
+    assert not rho.entries.flags.writeable
+    # a read-only view that does not own its data is copied too
+    base = np.zeros((2, 4, 4), dtype=complex)
+    base[0] = np.eye(4) / 4
+    view = base[0]
+    view.setflags(write=False)
+    assert view.flags.c_contiguous and not view.flags.owndata
+    assert not np.shares_memory(DensityMatrix(4, view).entries, base)
+
+
+def test_density_matrix_rejects_wrong_shape():
+    with pytest.raises(ValueError, match="expected array of shape"):
+        DensityMatrix(2, np.eye(3) / 3)
+
+
+# inf - inf in the tolerance checks warns before the ValueError
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "dim, entries",
+    [
+        (2, np.array([[np.nan, 0], [0, np.nan]])),
+        (4, np.full((4, 4), np.nan)),
+        (2, np.array([[np.inf, 0], [0, 0.5]])),
+        (2, np.array([[0.5, 1j * np.inf], [-1j * np.inf, 0.5]])),
+    ],
+)
+def test_density_matrix_rejects_non_finite_entries(dim, entries):
+    with pytest.raises(ValueError, match="finite"):
+        DensityMatrix(dim, entries)
+
+
+def test_pure_state_rejects_non_finite_amplitudes():
+    with pytest.raises(ValueError, match="finite"):
+        PureState(SpinDims(0), np.full((4, 1, 1), np.nan))
+    amp = np.zeros((4, 1, 1), dtype=complex)
+    amp[2, 0, 0] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        PureState(SpinDims(0), amp)
+
+
+def test_pure_state_adopts_the_assembled_tensor():
+    state = assemble_state(random_set(1, 3, 5, x_max=0.4))
+    assert not state.amp.flags.writeable
+    assert PureState(state.dims, state.amp).amp is state.amp
