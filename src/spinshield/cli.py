@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -41,6 +42,9 @@ _CONFIG_KEYS = (
     "oracle_crosscheck_max_dim",
 )
 
+# the default grid has 9 terms; a factor near 1 would build millions
+_MAX_GEOMETRIC_TERMS = 10_000
+
 _VERIFY_X_MAXES = (0.5, 0.1, 0.01)
 _VERIFY_FAMILIES = (
     "monogamy",
@@ -71,8 +75,13 @@ def _parse_two_s(text: str) -> tuple[int, ...]:
             lo, hi, factor = (float(p) for p in parts)
         except ValueError as exc:
             raise UsageError(f"bad geometric range {text!r}: {exc}") from exc
-        if lo < 1 or hi < lo or factor <= 1.0:
+        if not (lo >= 1 and hi >= lo and factor > 1.0):
             raise UsageError("geometric range needs min >= 1, max >= min, factor > 1")
+        # floor(log(max/min) / log(factor)) + 1 terms; counted before any is built
+        if not math.log(hi / lo) / math.log(factor) < _MAX_GEOMETRIC_TERMS:
+            raise UsageError(
+                f"geometric range {text!r} has more than {_MAX_GEOMETRIC_TERMS} terms"
+            )
         values = []
         v = lo
         while v <= hi * (1.0 + 1e-12):
@@ -351,8 +360,8 @@ def _verify_case(master_seed: int, family_index: int, case: int, two_s_max: int)
 
 
 def _check_monogamy(cs, tol: float) -> bool:
-    tau = closedform.one_tangle_closed(cs)
-    return closedform.monogamy_slack(cs) >= 0.0 and tau <= 1.0 + 1e-12
+    report = closedform.evaluate(cs)
+    return report.monogamy_slack >= 0.0 and report.one_tangle <= 1.0 + 1e-12
 
 
 def _check_oracle_concurrence(cs, tol: float) -> bool:
@@ -379,10 +388,12 @@ def _check_separability(cs, tol: float) -> bool:
 
 
 def _check_quadratic_gap(cs, tol: float) -> bool:
-    def gap(t: float) -> float:
-        return -closedform.monogamy_slack(cs.scaled(t))
-
-    return all(abs(gap(t / 2.0)) <= 0.4 * abs(gap(t)) for t in (0.125, 0.0625))
+    # the gap is quadratic in the perturbation scale: each halving must cut it
+    # to at most 0.4 of its value (ideally 0.25)
+    g1, g2, g3 = (
+        abs(closedform.monogamy_slack(cs.scaled(t))) for t in (0.125, 0.0625, 0.03125)
+    )
+    return g2 <= 0.4 * g1 and g3 <= 0.4 * g2
 
 
 _VERIFY_CHECKS = {

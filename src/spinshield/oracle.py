@@ -33,10 +33,15 @@ _HERMITIAN_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-10
 
-# Edge of the square tiles the Hermiticity check compares: a 64 x 64 complex
-# tile and its transposed partner (128 KiB together) stay in cache.  The
-# separability residual is formed in row strips of the same height.
+# Edge of the square tiles _hermitian_deviation compares: a 64 x 64 complex
+# tile and its transposed partner (128 KiB together) stay in cache.  Matrices
+# of at most this many rows are checked by the direct formula.
 _HERMITIAN_TILE = 64
+
+# Height of the row strips the two O(n^2) tolerance checks walk: a 32-row
+# strip of a 1089 x 1089 complex matrix (557 KB) stays in L2, and a
+# transposed read of 32 rows reuses each cache line it loads.
+_STRIP = 32
 
 # Device level -> two-qubit product state: d=1 -> |01>, d=2 -> |10>,
 # d=3 -> |00>, d=4 -> |11>.  Indexing amp by this array reorders the device
@@ -72,6 +77,56 @@ def _hermitian_deviation(e: np.ndarray) -> float:
         for j in range(i, n, b)
     ]
     return float(np.max(tile_max))
+
+
+def _within_tol(d: np.ndarray, tol: float) -> bool:
+    """Exactly ``np.max(np.abs(d)) <= tol`` for a complex block, mostly without hypot.
+
+    With M = max(|re|, |im|) over an entry, hypot is faithfully rounded, so
+    its computed modulus obeys M <= |z|_computed <= sqrt(2) M (1 + 2^-52)
+    < 1.5 M.  The parts of the whole block therefore decide: M > tol
+    anywhere fails, and 1.5 M < tol everywhere passes.  That comparison is
+    strict because in the subnormal range 1.5 M itself rounds to even.  Only
+    a block whose largest part lies in the band [tol / 1.5, tol] takes the
+    exact modulus.  The max and min reductions (array methods, which skip
+    the dispatch cost of np.max and np.min) propagate NaN; a NaN fails every
+    comparison, reaches the exact line and fails it there, as it fails the
+    direct formula.
+    """
+    parts = d.view(np.float64)
+    hi = float(parts.max())
+    lo = -float(parts.min())
+    if hi > tol or lo > tol:
+        return False
+    if 1.5 * hi < tol and 1.5 * lo < tol:
+        return True
+    return bool(np.max(np.abs(d)) <= tol)
+
+
+def _is_hermitian(e: np.ndarray, tol: float) -> bool:
+    """Exactly ``_hermitian_deviation(e) <= tol``.
+
+    Up to 64 rows this is the direct formula, the cheapest at the 2x2 and
+    4x4 sizes the sweep builds.  Larger matrices are decided one row strip
+    at a time: strip i holds e[i:, s] - conj(e[s, i:])^T for the rows
+    s = i..i+31, which covers every entry on and below the diagonal (the
+    deviation above it has the same modulus).  The conjugated block is
+    written in row order into one work buffer shared by all strips, so
+    the transposed read walks 32 rows at a time and nothing is allocated per
+    strip.
+    """
+    n = e.shape[0]
+    if n <= _HERMITIAN_TILE:
+        return bool(np.abs(e - e.conj().T).max() <= tol)
+    buf = np.empty(n * min(n, _STRIP), dtype=e.dtype)
+    for i in range(0, n, _STRIP):
+        lower = e[i:, i:i + _STRIP]
+        d = buf[:lower.size].reshape(lower.shape)
+        np.conjugate(e[i:i + _STRIP, i:].T, out=d)
+        np.subtract(lower, d, out=d)
+        if not _within_tol(d, tol):
+            return False
+    return True
 
 
 def _invalid(arr: np.ndarray, message: str) -> ValueError:
@@ -125,10 +180,12 @@ class DensityMatrix:
 
     def __post_init__(self):
         entries = _frozen_array(self.entries, (self.dim, self.dim), check_finite=False)
-        herm_dev = _hermitian_deviation(entries)
-        if not herm_dev <= _HERMITIAN_TOL:
-            raise _invalid(entries, f"matrix is not Hermitian (max deviation {herm_dev:.3e})")
-        trace_dev = abs(complex(np.trace(entries)) - 1.0)
+        # inf - inf makes a NaN deviation, which fails the check; it must not warn
+        with np.errstate(invalid="ignore"):
+            if not _is_hermitian(entries, _HERMITIAN_TOL):
+                herm_dev = _hermitian_deviation(entries)
+                raise _invalid(entries, f"matrix is not Hermitian (max deviation {herm_dev:.3e})")
+        trace_dev = abs(complex(entries.trace()) - 1.0)
         if not trace_dev <= _TRACE_TOL:
             raise _invalid(entries, f"trace deviates from 1 by {trace_dev:.3e}")
         object.__setattr__(self, "entries", entries)
@@ -226,9 +283,10 @@ def separability_structure_check(cs: CoefficientSet, tol: float = 1e-10) -> bool
     Returns True iff it matches the partial trace entrywise within ``tol``.
 
     The mixture is W W^H, where column d of the factor W is
-    sqrt(p_d) |a_d> (x) |b_d>.  The residual W W^H - rho_M is formed one
-    strip of rows at a time, so no full-size temporary is allocated; the
-    strip maxima are combined with np.max, which propagates a NaN.
+    sqrt(p_d) |a_d> (x) |b_d>.  The residual W W^H - rho_M is formed 32 rows
+    at a time, so no full-size temporary is allocated, and each strip is
+    decided exactly by its real and imaginary parts (a NaN fails it); the
+    first failing strip ends the check.
     """
     rho_m = reduce(assemble_state(cs), "M").entries
     n_sq = _norm_squared(cs)
@@ -245,10 +303,9 @@ def separability_structure_check(cs: CoefficientSet, tol: float = 1e-10) -> bool
         columns.append(np.sqrt(w * xd * yd / n_sq) * v)
     factor = np.stack(columns, axis=1)
     factor_h = factor.conj().T
-    b = _HERMITIAN_TILE
-    strip_max = []
-    for i in range(0, factor.shape[0], b):
-        residual = factor[i:i + b] @ factor_h
-        residual -= rho_m[i:i + b]
-        strip_max.append(np.max(np.abs(residual)))
-    return float(np.max(strip_max)) <= tol
+    for i in range(0, factor.shape[0], _STRIP):
+        residual = factor[i:i + _STRIP] @ factor_h
+        residual -= rho_m[i:i + _STRIP]
+        if not _within_tol(residual, tol):
+            return False
+    return True

@@ -191,6 +191,8 @@ def test_criterion_9_large_spin_performance():
         )
         return best
 
-    t_small, t_large = eval_time(25_000), eval_time(100_000)
+    # the rows of m = 25001 fit a per-core L2 cache, those of m = 100001 do not;
+    # comparing two sizes that both outgrow it times the work, not the memory level
+    t_small, t_large = eval_time(100_000), eval_time(400_000)
     assert t_large <= 10.0 * max(t_small, 1e-9), f"{t_small:.4f}s -> {t_large:.4f}s"
-    print(f"  evaluate() timing: m=25001 {t_small * 1e3:.1f}ms, m=100001 {t_large * 1e3:.1f}ms")
+    print(f"  evaluate() timing: m=100001 {t_small * 1e3:.1f}ms, m=400001 {t_large * 1e3:.1f}ms")

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -98,6 +99,27 @@ def test_sweep_geometric_range(tmp_path):
     run_cli(["sweep", "--two-s", "2:20:2", "--n", "1", "--trials", "1", "--out", str(out)])
     lines = (out / "sweep.csv").read_text().splitlines()[1:]
     assert [int(l.split(",")[1]) for l in lines] == [2, 4, 8, 16]
+
+
+@pytest.mark.parametrize("two_s", ["1:1e9:1.00001", "1:inf:2"])
+def test_sweep_geometric_range_with_too_many_terms_is_usage_error(
+    tmp_path, capsys, monkeypatch, two_s
+):
+    # 1,021,038 and infinitely many terms: refused from the count, before any is built
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep must not start")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    out = tmp_path / "flag"
+    assert run_cli(["sweep", "--two-s", two_s, "--out", str(out)]) == 2
+    assert "more than 10000 terms" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"two_s = {two_s}\n")
+    out = tmp_path / "config"
+    assert run_cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "more than 10000 terms" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_bad_flags_exit_2(tmp_path):
@@ -238,6 +260,23 @@ def test_verify_impossible_tolerance_fails(capsys):
     captured = capsys.readouterr()
     assert "FAIL" in captured.err
     assert "case=" in captured.err and "two_s=" in captured.err
+
+
+@pytest.mark.parametrize(
+    "family, name, fake",
+    [
+        ("monogamy", "evaluate", lambda cs: SimpleNamespace(monogamy_slack=-1.0, one_tangle=0.5)),
+        ("quadratic-gap", "monogamy_slack", lambda cs: 1.0),
+    ],
+    ids=["monogamy", "quadratic-gap"],
+)
+def test_verify_forced_failure_prints_fail_and_exits_1(capsys, monkeypatch, family, name, fake):
+    monkeypatch.setattr(cli.closedform, name, fake)
+    assert run_cli(["verify", "--cases", "2", "--two-s-max", "2"]) == 1
+    captured = capsys.readouterr()
+    assert f"FAIL {family}: case=1 two_s=1" in captured.err
+    assert f"FAIL {family}: case=2 two_s=2" in captured.err
+    assert f"{family}: 0/2" in captured.out
 
 
 def test_verify_two_s_max_gate():

@@ -271,6 +271,45 @@ def test_separability_fails_on_nan_in_partial_trace(monkeypatch):
     assert separability_structure_check(cs, 1e-10) is False
 
 
+@pytest.mark.parametrize("part, expected", [(0.8, False), (0.7, True)])
+def test_separability_decides_a_bump_inside_the_band_exactly(monkeypatch, part, expected):
+    # both parts of the bump lie in the band [tol / 1.5, tol], so neither
+    # decides alone: the modulus sqrt(2) * part * tol is 1.13 tol (fails) or
+    # 0.99 tol (passes); rows 200 and 100 lie in the seventh and fourth strips
+    tol = 1e-10
+    cs = random_set(5, 16, 16, x_max=0.5, c=random_c(6), complex_mode=True)
+    real_reduce = oracle.reduce
+    delta = part * tol * (1 + 1j)
+
+    def reduce_with_hermitian_bump(state, keep):
+        rho = real_reduce(state, keep)
+        if keep != "M":
+            return rho
+        entries = rho.entries.copy()
+        entries[200, 100] += delta
+        entries[100, 200] += np.conj(delta)
+        return DensityMatrix(rho.dim, entries)
+
+    monkeypatch.setattr(oracle, "reduce", reduce_with_hermitian_bump)
+    assert separability_structure_check(cs, tol) is expected
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, -np.inf)])
+def test_non_finite_entry_after_the_first_strip_fails_both_checks(monkeypatch, value):
+    cs = random_set(5, 16, 16, x_max=0.5, c=random_c(6), complex_mode=True)
+    entries = reduce(assemble_state(cs), "M").entries.copy()
+    # row 200, column 100: the fourth strip of the Hermiticity check, the
+    # seventh of the separability residual
+    entries[200, 100] = value
+    with pytest.raises(ValueError, match="finite"):
+        DensityMatrix(entries.shape[0], entries)
+    monkeypatch.setattr(
+        oracle, "reduce",
+        lambda state, keep: SimpleNamespace(dim=entries.shape[0], entries=entries),
+    )
+    assert separability_structure_check(cs, 1e-10) is False
+
+
 # ---------------------------------------------------------------------------
 # general device mode (all four levels populated)
 
@@ -373,6 +412,70 @@ def test_tiled_hermitian_deviation_is_bitwise_direct(n):
         assert oracle._hermitian_deviation(e) == np.max(np.abs(e - e.conj().T))
 
 
+def _matrix_with_defect(n, seed, part, mode):
+    """I/n with non-Hermitian noise of 1e-16 and one defect whose parts are part * 1e-12."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    e = np.eye(n, dtype=complex) / n
+    e += 1e-16 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    a = part * 1e-12
+    if n == 1:
+        e[0, 0] = 1.0 + 0.5j * a  # deviation exactly 1j * a
+        return e
+    i = int(rng.integers(n))
+    j = (i + int(rng.integers(1, n))) % n
+    # with no noise at (j, i) the deviation at (i, j) is exactly the defect
+    e[i, j] = {"re": complex(a, 0.0), "im": complex(0.0, -a), "equal": complex(-a, a)}[mode]
+    e[j, i] = 0.0
+    return e
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([1, 4, 31, 32, 33, 64, 65, 130, 289]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.one_of(
+        st.sampled_from([0.5, 1 / 1.5, 0.7, 2 ** -0.5, 0.8, 1.0, 1.2]),
+        st.floats(min_value=0.3, max_value=1.3),
+    ),
+    st.sampled_from(["re", "im", "equal"]),
+)
+def test_hermiticity_check_is_exact_around_the_band(n, seed, part, mode):
+    # parts below, inside and above the band [tol / 1.5, tol]; "equal" puts
+    # |re| = |im|, where the modulus is sqrt(2) times each part
+    e = _matrix_with_defect(n, seed, part, mode)
+    if oracle._hermitian_deviation(e) <= 1e-12:
+        assert DensityMatrix(n, e).dim == n
+    else:
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityMatrix(n, e)
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, 1.5e-323, 2.2250738585072014e-308, 1e-12, 1.0,
+                1.7976931348623157e308, np.inf, -np.inf, np.nan]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS)),
+            st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS)),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS), st.floats(min_value=0.9, max_value=1.6)),
+    st.booleans(),
+)
+def test_part_wise_decision_equals_the_modulus_decision(pairs, tol, relative):
+    # a relative tol is a multiple of the largest part, which puts it in or
+    # near the band where the exact modulus decides
+    d = np.array([complex(re, im) for re, im in pairs])
+    if relative:
+        tol = tol * float(np.max(np.abs(d.view(np.float64))))
+    assert oracle._within_tol(d, tol) == (np.max(np.abs(d)) <= tol)
+
+
 def test_density_matrix_rejects_defect_in_far_corner_tile():
     m = np.eye(130, dtype=complex) / 130
     m[0, 129] = 1e-9
@@ -411,8 +514,6 @@ def test_density_matrix_rejects_wrong_shape():
         DensityMatrix(2, np.eye(3) / 3)
 
 
-# inf - inf in the tolerance checks warns before the ValueError
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "dim, entries",
     [
