@@ -1,0 +1,134 @@
+"""Golden outputs of the CLI: `single`, `sweep` and `verify`, pinned byte for byte.
+
+The files under ``tests/golden/`` are the exact outputs of the commands in
+``CASES`` and ``SWEEP_ARGS``.  Two things are not compared as bytes:
+
+- the dense-oracle values of ``single`` (``C_oracle``, ``tau_oracle_*`` and
+  the ``rho_*`` matrices) come from BLAS and LAPACK, which may round
+  differently on other hardware, so they compare as floats within 1e-12;
+- the ``started`` and ``finished`` timestamps of the sweep manifest.
+
+A change that moves an output on purpose regenerates the files with
+``PYTHONPATH=src python tests/test_golden.py`` and names the lines that move.
+"""
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from spinshield import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+
+ORACLE_TOL = 1e-12
+ORACLE_KEY = re.compile(r"^(C_oracle|tau_oracle_q[12]|rho_(D|Q1|M))(\[\d+\])?$")
+
+CASES = {
+    "single_two_s100_seed7.txt": ["single", "--two-s", "100", "--seed", "7", "--text"],
+    "single_two_s100_seed7.json": ["single", "--two-s", "100", "--seed", "7", "--json"],
+    "single_two_s2_seed3.txt": ["single", "--two-s", "2", "--seed", "3", "--text"],
+    "single_two_s2_seed3.json": ["single", "--two-s", "2", "--seed", "3", "--json"],
+    "verify_two_s_max4_cases6.txt": ["verify", "--two-s-max", "4", "--cases", "6"],
+}
+
+SWEEP_ARGS = ["sweep", "--two-s", "2,10", "--n", "1,3", "--trials", "5"]
+SWEEP_FILES = ("sweep.csv", "plot.gp", "manifest.txt")
+_TIMESTAMP = re.compile(r"^(started|finished) = .*$", re.MULTILINE)
+
+
+def _stdout(argv, capsys) -> str:
+    assert cli.main(argv) == 0
+    return capsys.readouterr().out
+
+
+def _mask_timestamps(text: str) -> str:
+    return _TIMESTAMP.sub(r"\1 = <masked>", text)
+
+
+def _floats(value):
+    """Every float in a JSON value or a text value of complex reprs, in order."""
+    if isinstance(value, str):
+        return [p for z in value.split() for p in (complex(z).real, complex(z).imag)]
+    if isinstance(value, list):
+        return [f for v in value for f in _floats(v)]
+    return [float(value)]
+
+
+def _assert_oracle_close(key, got, want):
+    got, want = _floats(got), _floats(want)
+    assert len(got) == len(want), key
+    assert all(abs(g - w) <= ORACLE_TOL for g, w in zip(got, want)), key
+
+
+def _assert_text_matches(got: str, want: str):
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    assert len(got_lines) == len(want_lines)
+    for got_line, want_line in zip(got_lines, want_lines):
+        key, _, want_value = want_line.partition(" = ")
+        if ORACLE_KEY.match(key):
+            got_key, _, got_value = got_line.partition(" = ")
+            assert got_key == key
+            _assert_oracle_close(key, got_value, want_value)
+        else:
+            assert got_line == want_line
+
+
+def _assert_json_matches(got: str, want: str):
+    got_payload, want_payload = json.loads(got), json.loads(want)
+    # the output is the canonical rendering of its payload ...
+    assert json.dumps(got_payload, sort_keys=True, indent=2) + "\n" == got
+    assert sorted(got_payload) == sorted(want_payload)
+    for key in want_payload:
+        if ORACLE_KEY.match(key):
+            _assert_oracle_close(key, got_payload[key], want_payload[key])
+            got_payload[key] = want_payload[key]
+    # ... so with the golden oracle values swapped in, every other byte must match
+    assert json.dumps(got_payload, sort_keys=True, indent=2) + "\n" == want
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_stdout(name, capsys):
+    got = _stdout(CASES[name], capsys)
+    want = (GOLDEN / name).read_text()
+    if name.endswith(".json"):
+        _assert_json_matches(got, want)
+    else:
+        _assert_text_matches(got, want)
+
+
+def test_golden_sweep_files(tmp_path, monkeypatch):
+    monkeypatch.setenv(cli.WORKERS_ENV, "1")
+    out = tmp_path / "r"
+    assert cli.main([*SWEEP_ARGS, "--out", str(out)]) == 0
+    for name in SWEEP_FILES:
+        got = (out / name).read_text()
+        if name == "manifest.txt":
+            got = _mask_timestamps(got)
+        assert got == (GOLDEN / "sweep" / name).read_text(), name
+
+
+def _regenerate():
+    import contextlib
+    import io
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.main(argv) == 0
+        (GOLDEN / name).write_text(buf.getvalue())
+    with tempfile.TemporaryDirectory() as tmp:
+        assert cli.main([*SWEEP_ARGS, "--out", tmp]) == 0
+        (GOLDEN / "sweep").mkdir(exist_ok=True)
+        for name in SWEEP_FILES:
+            text = (Path(tmp) / name).read_text()
+            if name == "manifest.txt":
+                text = _mask_timestamps(text)
+            (GOLDEN / "sweep" / name).write_text(text)
+
+
+if __name__ == "__main__":
+    _regenerate()
