@@ -21,7 +21,6 @@ from . import __version__, closedform, oracle
 from .model import SpinDims, normalization, sample_coefficients, x_max_schedule
 from .sweep import (
     SweepConfig,
-    SweepError,
     SweepPoint,
     run_sweep,
     trial_rng,
@@ -31,29 +30,10 @@ WORKERS_ENV = "SPINSHIELD_WORKERS"
 
 CSV_HEADER = "n,two_s,trials,mean_c,std_c,mean_tau,std_tau,mean_gap,std_gap,mean_abs_gap,min_slack"
 
-_CONFIG_KEYS = (
-    "two_s",
-    "n",
-    "trials",
-    "seed",
-    "c3",
-    "c4",
-    "complex",
-    "oracle_crosscheck_max_dim",
-)
-
 # the default grid has 9 terms; a factor near 1 would build millions
 _MAX_GEOMETRIC_TERMS = 10_000
 
 _VERIFY_X_MAXES = (0.5, 0.1, 0.01)
-_VERIFY_FAMILIES = (
-    "monogamy",
-    "oracle-concurrence",
-    "oracle-tangle",
-    "symmetry",
-    "separability",
-    "quadratic-gap",
-)
 
 
 class UsageError(Exception):
@@ -118,6 +98,25 @@ def _parse_complex(text: str) -> complex:
         raise UsageError(f"bad complex number {text!r}") from exc
 
 
+# every sweep setting: config key -> (parser, SweepConfig field, flag help).  The
+# flag is the key with "-" for "_"; c3 and c4 are normalized into the field c.
+# A parser raises UsageError with its own message, except int's ValueError.
+_SETTINGS = {
+    "two_s": (_parse_two_s, "two_s_values", "comma list or min:max:factor geometric range"),
+    "n": (_parse_n, "n_values", "comma list of schedule exponents from {1,2,3}"),
+    "trials": (int, "trials", "draws per gridpoint (default 200)"),
+    "seed": (int, "master_seed", "master seed (default 0)"),
+    "c3": (_parse_complex, "c", "device weight c3 (default 1/sqrt(2))"),
+    "c4": (_parse_complex, "c", "device weight c4 (default 1/sqrt(2))"),
+    "complex": (_parse_bool, "complex_mode", "draw complex perturbations"),
+    "oracle_crosscheck_max_dim": (
+        int,
+        "oracle_crosscheck_max_dim",
+        "run the dense crosscheck when m_a*m_b is at most this (default 64)",
+    ),
+}
+
+
 def _read_config_file(path: str) -> dict:
     """Plain `key = value` lines; '#' starts a comment; unknown keys are errors."""
     values = {}
@@ -133,77 +132,41 @@ def _read_config_file(path: str) -> dict:
             raise UsageError(f"{path}:{lineno}: expected `key = value`, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = value.strip()
     return values
 
 
 def _resolve_sweep_config(args) -> SweepConfig:
-    fields = {
-        "two_s": None,
-        "n": None,
-        "trials": None,
-        "seed": None,
-        "c3": None,
-        "c4": None,
-        "complex": None,
-        "oracle_crosscheck_max_dim": None,
-    }
-    if args.config:
-        raw = _read_config_file(args.config)
-        if "two_s" in raw:
-            fields["two_s"] = _parse_two_s(raw["two_s"])
-        if "n" in raw:
-            fields["n"] = _parse_n(raw["n"])
-        for key in ("trials", "seed", "oracle_crosscheck_max_dim"):
-            if key in raw:
-                try:
-                    fields[key] = int(raw[key])
-                except ValueError as exc:
-                    raise UsageError(f"config key {key} must be an integer") from exc
-        for key in ("c3", "c4"):
-            if key in raw:
-                fields[key] = _parse_complex(raw[key])
-        if "complex" in raw:
-            fields["complex"] = _parse_bool(raw["complex"])
-
-    # explicit flags win over file values
-    if args.two_s is not None:
-        fields["two_s"] = _parse_two_s(args.two_s)
-    if args.n is not None:
-        fields["n"] = _parse_n(args.n)
-    for key in ("trials", "seed", "oracle_crosscheck_max_dim"):
-        flag = getattr(args, key)
-        if flag is not None:
-            fields[key] = flag
-    if args.c3 is not None:
-        fields["c3"] = _parse_complex(args.c3)
-    if args.c4 is not None:
-        fields["c4"] = _parse_complex(args.c4)
-    if getattr(args, "complex") is not None:
-        fields["complex"] = True
+    given = [
+        (f"config key {key}", key, text)
+        for key, text in (_read_config_file(args.config) if args.config else {}).items()
+    ]
+    given += [
+        ("--" + key.replace("_", "-"), key, getattr(args, key))
+        for key in _SETTINGS
+        if getattr(args, key) is not None
+    ]
+    values = {}
+    # the file first, then the flags: an explicit flag wins over a file value
+    for name, key, text in given:
+        try:
+            values[key] = _SETTINGS[key][0](text)
+        except ValueError as exc:
+            raise UsageError(f"{name} must be an integer") from exc
 
     defaults = SweepConfig()
-    c3 = fields["c3"] if fields["c3"] is not None else defaults.c[2]
-    c4 = fields["c4"] if fields["c4"] is not None else defaults.c[3]
+    c3 = values.pop("c3", defaults.c[2])
+    c4 = values.pop("c4", defaults.c[3])
     # hypot neither overflows for huge weights nor underflows for tiny ones
     scale = float(np.hypot(abs(c3), abs(c4)))
     if scale == 0.0:
         raise UsageError("c3 and c4 cannot both be zero")
     try:
         return SweepConfig(
-            two_s_values=fields["two_s"] if fields["two_s"] is not None else defaults.two_s_values,
-            n_values=fields["n"] if fields["n"] is not None else defaults.n_values,
-            trials=fields["trials"] if fields["trials"] is not None else defaults.trials,
             c=(0j, 0j, complex(c3 / scale), complex(c4 / scale)),
-            master_seed=fields["seed"] if fields["seed"] is not None else defaults.master_seed,
-            complex_mode=bool(fields["complex"]) if fields["complex"] is not None else False,
-            oracle_crosscheck_max_dim=(
-                fields["oracle_crosscheck_max_dim"]
-                if fields["oracle_crosscheck_max_dim"] is not None
-                else defaults.oracle_crosscheck_max_dim
-            ),
+            **{_SETTINGS[key][1]: value for key, value in values.items()},
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -234,30 +197,23 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _text_value(value) -> str:
+    """Shortest round-trip text of an int, float or complex; a row joins its entries."""
+    if isinstance(value, np.ndarray):
+        return " ".join(_text_value(v) for v in value)
+    if isinstance(value, complex):
+        return repr(complex(value))
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
 
 
 def _csv_text(points: list[SweepPoint]) -> str:
     lines = [CSV_HEADER]
     for p in points:
-        lines.append(
-            ",".join(
-                [
-                    str(p.n),
-                    str(p.two_s),
-                    str(p.trials),
-                    _fmt(p.mean_c),
-                    _fmt(p.std_c),
-                    _fmt(p.mean_tau),
-                    _fmt(p.std_tau),
-                    _fmt(p.mean_gap),
-                    _fmt(p.std_gap),
-                    _fmt(p.mean_abs_gap),
-                    _fmt(p.min_monogamy_slack),
-                ]
-            )
-        )
+        row = (p.n, p.two_s, p.trials, p.mean_c, p.std_c, p.mean_tau, p.std_tau,
+               p.mean_gap, p.std_gap, p.mean_abs_gap, p.min_monogamy_slack)
+        lines.append(",".join(_text_value(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -321,8 +277,7 @@ def _manifest_text(config: SweepConfig, started: str, finished: str, digests: di
 
 def _write(path: Path, text: str) -> bytes:
     data = text.encode()
-    with open(path, "wb") as fh:
-        fh.write(data)
+    path.write_bytes(data)
     return data
 
 
@@ -415,8 +370,8 @@ def cmd_verify(args) -> int:
         raise UsageError("--tol must be positive")
 
     all_pass = True
-    for family_index, family in enumerate(_VERIFY_FAMILIES):
-        check = _VERIFY_CHECKS[family]
+    # the family's position seeds its cases, so the table's order is part of the output
+    for family_index, (family, check) in enumerate(_VERIFY_CHECKS.items()):
         passed = 0
         for case in range(1, args.cases + 1):
             two_s, x_max, cs = _verify_case(args.seed, family_index, case, args.two_s_max)
@@ -438,118 +393,91 @@ def cmd_verify(args) -> int:
 # single
 
 
-def _complex_pair(z: complex) -> list[float]:
-    return [z.real, z.imag]
+def _single_record(args) -> list[tuple[str, object]]:
+    """One draw in output order: settings, draw, branch sums, measures, oracle data.
 
-
-def _matrix_pairs(m: np.ndarray) -> list:
-    return [[_complex_pair(v) for v in row] for row in m]
-
-
-def _fmt_c(z: complex) -> str:
-    return repr(complex(z))
-
-
-def cmd_single(args) -> int:
-    x_max = x_max_schedule(args.two_s, args.n)
+    Values are ints, floats, complex numbers, complex rows (1-D arrays) and
+    complex matrices (2-D arrays); the oracle data is present when the dense
+    oracle can build the state, and rho_M only for m_a*m_b <= 16.
+    """
+    try:
+        x_max = x_max_schedule(args.two_s, args.n)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     dims = SpinDims(args.two_s)
-    config = SweepConfig()
     rng = trial_rng(args.seed, args.two_s, 1)
-    cs = sample_coefficients(dims, x_max, x_max, config.c, rng, args.complex)
+    cs = sample_coefficients(dims, x_max, x_max, SweepConfig().c, rng, args.complex)
     bs = closedform.branch_sums(cs)
     report = closedform.evaluate(cs)
-    n_value = normalization(cs)
-
-    with_oracle = dims.m_a * dims.m_b <= oracle.ORACLE_MAX_DIM
-    oracle_data = None
-    if with_oracle:
+    record = [
+        ("two_s", args.two_s),
+        ("n", args.n),
+        ("seed", args.seed),
+        ("x_max", x_max),
+        ("m_a", dims.m_a),
+        ("m_b", dims.m_b),
+        ("c", cs.c),
+        ("x3", cs.x[2]),
+        ("x4", cs.x[3]),
+        ("y3", cs.y[2]),
+        ("y4", cs.y[3]),
+        ("N", normalization(cs)),
+        ("X3", bs.X3),
+        ("X4", bs.X4),
+        ("Y3", bs.Y3),
+        ("Y4", bs.Y4),
+        ("X34", bs.X34),
+        ("Y34", bs.Y34),
+        ("C", report.concurrence),
+        ("tau", report.one_tangle),
+        ("gap", report.gap),
+        ("slack", report.monogamy_slack),
+    ]
+    if dims.m_a * dims.m_b <= oracle.ORACLE_MAX_DIM:
         state = oracle.assemble_state(cs)
         rho_d = oracle.reduce(state, "D")
         rho_q1 = oracle.reduce(state, "Q1")
-        rho_q2 = oracle.reduce(state, "Q2")
-        oracle_data = {
-            "C_oracle": oracle.wootters_concurrence(rho_d),
-            "tau_oracle_q1": oracle.one_tangle(rho_q1),
-            "tau_oracle_q2": oracle.one_tangle(rho_q2),
-            "rho_D": rho_d.entries,
-            "rho_Q1": rho_q1.entries,
-            "rho_M": oracle.reduce(state, "M").entries if dims.m_a * dims.m_b <= 16 else None,
-        }
-
-    if args.json:
-        payload = {
-            "two_s": args.two_s,
-            "n": args.n,
-            "seed": args.seed,
-            "x_max": x_max,
-            "m_a": dims.m_a,
-            "m_b": dims.m_b,
-            "c": [_complex_pair(v) for v in cs.c],
-            "x3": [_complex_pair(v) for v in cs.x[2]],
-            "x4": [_complex_pair(v) for v in cs.x[3]],
-            "y3": [_complex_pair(v) for v in cs.y[2]],
-            "y4": [_complex_pair(v) for v in cs.y[3]],
-            "N": n_value,
-            "X3": bs.X3,
-            "X4": bs.X4,
-            "Y3": bs.Y3,
-            "Y4": bs.Y4,
-            "X34": _complex_pair(bs.X34),
-            "Y34": _complex_pair(bs.Y34),
-            "C": report.concurrence,
-            "tau": report.one_tangle,
-            "gap": report.gap,
-            "slack": report.monogamy_slack,
-        }
-        if oracle_data is not None:
-            payload["C_oracle"] = oracle_data["C_oracle"]
-            payload["tau_oracle_q1"] = oracle_data["tau_oracle_q1"]
-            payload["tau_oracle_q2"] = oracle_data["tau_oracle_q2"]
-            payload["rho_D"] = _matrix_pairs(oracle_data["rho_D"])
-            payload["rho_Q1"] = _matrix_pairs(oracle_data["rho_Q1"])
-            if oracle_data["rho_M"] is not None:
-                payload["rho_M"] = _matrix_pairs(oracle_data["rho_M"])
-        print(json.dumps(payload, sort_keys=True, indent=2))
-        return 0
-
-    lines = [
-        f"two_s = {args.two_s}",
-        f"n = {args.n}",
-        f"seed = {args.seed}",
-        f"x_max = {_fmt(x_max)}",
-        f"m_a = {dims.m_a}",
-        f"m_b = {dims.m_b}",
-        f"c3 = {_fmt_c(cs.c[2])}",
-        f"c4 = {_fmt_c(cs.c[3])}",
-        "x3 = " + " ".join(_fmt_c(v) for v in cs.x[2]),
-        "x4 = " + " ".join(_fmt_c(v) for v in cs.x[3]),
-        "y3 = " + " ".join(_fmt_c(v) for v in cs.y[2]),
-        "y4 = " + " ".join(_fmt_c(v) for v in cs.y[3]),
-        f"N = {_fmt(n_value)}",
-        f"X3 = {_fmt(bs.X3)}",
-        f"X4 = {_fmt(bs.X4)}",
-        f"Y3 = {_fmt(bs.Y3)}",
-        f"Y4 = {_fmt(bs.Y4)}",
-        f"X34 = {_fmt_c(bs.X34)}",
-        f"Y34 = {_fmt_c(bs.Y34)}",
-        f"C = {_fmt(report.concurrence)}",
-        f"tau = {_fmt(report.one_tangle)}",
-        f"gap = {_fmt(report.gap)}",
-        f"slack = {_fmt(report.monogamy_slack)}",
-    ]
-    if oracle_data is not None:
-        lines += [
-            f"C_oracle = {_fmt(oracle_data['C_oracle'])}",
-            f"tau_oracle_q1 = {_fmt(oracle_data['tau_oracle_q1'])}",
-            f"tau_oracle_q2 = {_fmt(oracle_data['tau_oracle_q2'])}",
+        record += [
+            ("C_oracle", oracle.wootters_concurrence(rho_d)),
+            ("tau_oracle_q1", oracle.one_tangle(rho_q1)),
+            ("tau_oracle_q2", oracle.one_tangle(oracle.reduce(state, "Q2"))),
+            ("rho_D", rho_d.entries),
+            ("rho_Q1", rho_q1.entries),
         ]
-        for name in ("rho_D", "rho_Q1"):
-            for i, row in enumerate(oracle_data[name]):
-                lines.append(f"{name}[{i}] = " + " ".join(_fmt_c(v) for v in row))
-        if oracle_data["rho_M"] is not None:
-            for i, row in enumerate(oracle_data["rho_M"]):
-                lines.append(f"rho_M[{i}] = " + " ".join(_fmt_c(v) for v in row))
-    print("\n".join(lines))
+        if dims.m_a * dims.m_b <= 16:
+            record.append(("rho_M", oracle.reduce(state, "M").entries))
+    return record
+
+
+def _render_text(record) -> str:
+    """`key = value` lines; a matrix takes one `key[i] = ...` line per row."""
+    lines = []
+    for key, value in record:
+        if key == "c":  # a draw populates only the d = 3, 4 weights
+            lines += [f"c3 = {_text_value(value[2])}", f"c4 = {_text_value(value[3])}"]
+        elif isinstance(value, np.ndarray) and value.ndim == 2:
+            lines += [f"{key}[{i}] = {_text_value(row)}" for i, row in enumerate(value)]
+        else:
+            lines.append(f"{key} = {_text_value(value)}")
+    return "\n".join(lines)
+
+
+def _json_value(value):
+    """A complex number becomes its [re, im] pair, an array a (nested) list of them."""
+    if isinstance(value, np.ndarray):
+        return [_json_value(v) for v in value]
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return value
+
+
+def _render_json(record) -> str:
+    return json.dumps({key: _json_value(value) for key, value in record}, sort_keys=True, indent=2)
+
+
+def cmd_single(args) -> int:
+    record = _single_record(args)
+    print(_render_json(record) if args.json else _render_text(record))
     return 0
 
 
@@ -566,15 +494,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sweep = sub.add_parser("sweep", help="run the Monte Carlo sweep and write CSV outputs")
-    p_sweep.add_argument("--two-s", dest="two_s", help="comma list or min:max:factor geometric range")
-    p_sweep.add_argument("--n", help="comma list of schedule exponents from {1,2,3}")
-    p_sweep.add_argument("--trials", type=int, help="draws per gridpoint (default 200)")
-    p_sweep.add_argument("--seed", type=int, help="master seed (default 0)")
-    p_sweep.add_argument("--c3", help="device weight c3 (default 1/sqrt(2))")
-    p_sweep.add_argument("--c4", help="device weight c4 (default 1/sqrt(2))")
-    p_sweep.add_argument("--complex", action="store_const", const=True, help="draw complex perturbations")
-    p_sweep.add_argument("--oracle-crosscheck-max-dim", dest="oracle_crosscheck_max_dim", type=int,
-                         help="run the dense crosscheck when m_a*m_b is at most this (default 64)")
+    for key, (parse, _, help_text) in _SETTINGS.items():
+        flag = "--" + key.replace("_", "-")
+        if parse is _parse_bool:  # a switch with no value
+            p_sweep.add_argument(flag, dest=key, action="store_const", const="true", help=help_text)
+        else:
+            p_sweep.add_argument(flag, dest=key, help=help_text)
     p_sweep.add_argument("--config", help="key = value config file; flags override it")
     p_sweep.add_argument("--out", required=True, help="output directory")
     p_sweep.set_defaults(func=cmd_sweep)
@@ -610,9 +535,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SweepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # runtime failure contract: never a traceback, exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1

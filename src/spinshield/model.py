@@ -57,7 +57,8 @@ def _frozen_array(values, shape, check_finite: bool = True) -> np.ndarray:
     :func:`sample_coefficients` and the dense oracle build them) is adopted
     as it is; anything else is copied, so a caller's array is never frozen
     or aliased.  ``check_finite=False`` skips the finiteness pass for a
-    caller whose own tolerance checks already fail on any non-finite entry.
+    caller that rejects non-finite entries itself, through a narrower pass
+    or tolerance checks that fail on them.
     """
     flags = values.flags if isinstance(values, np.ndarray) else None
     if (
@@ -76,6 +77,26 @@ def _frozen_array(values, shape, check_finite: bool = True) -> np.ndarray:
         raise ValueError("array entries must be finite")
     arr.setflags(write=False)
     return arr
+
+
+def _perturbations(values, m: int) -> tuple[np.ndarray, bool]:
+    """The frozen 4 x m perturbation matrix and whether its rows 0-1 are all zero.
+
+    Zero rows are finite, so the finiteness pass then covers only rows 2-3,
+    as a float64 view of their real and imaginary parts.
+    """
+    arr = _frozen_array(values, (4, m), check_finite=False)
+    upper_zero = not arr[:2].any()
+    if not np.isfinite((arr[2:] if upper_zero else arr).view(np.float64)).all():
+        raise ValueError("array entries must be finite")
+    return arr, upper_zero
+
+
+def _check_unit_norm(c) -> None:
+    """Reject device weights whose squared norm is not 1 within _C_NORM_TOL."""
+    norm_sq = sum(v.real * v.real + v.imag * v.imag for v in c)
+    if abs(norm_sq - 1.0) > _C_NORM_TOL:
+        raise ValueError(f"device weights must satisfy sum |c_d|^2 = 1, got {norm_sq!r}")
 
 
 @dataclass(frozen=True)
@@ -126,11 +147,9 @@ class CoefficientSet:
 
     def __post_init__(self):
         c = _frozen_array(self.c, (4,))
-        x = _frozen_array(self.x, (4, self.dims.m_a))
-        y = _frozen_array(self.y, (4, self.dims.m_b))
-        norm_sq = sum(v.real * v.real + v.imag * v.imag for v in c.tolist())
-        if abs(norm_sq - 1.0) > _C_NORM_TOL:
-            raise ValueError(f"device weights must satisfy sum |c_d|^2 = 1, got {norm_sq!r}")
+        x, x_upper_zero = _perturbations(self.x, self.dims.m_a)
+        y, y_upper_zero = _perturbations(self.y, self.dims.m_b)
+        _check_unit_norm(c.tolist())
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -138,7 +157,7 @@ class CoefficientSet:
         object.__setattr__(
             self,
             "_two_level",
-            bool(c[0] == 0 and c[1] == 0 and not x[:2].any() and not y[:2].any()),
+            bool(c[0] == 0 and c[1] == 0 and x_upper_zero and y_upper_zero),
         )
 
     @property

@@ -20,7 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closedform, oracle
-from .model import EntanglementReport, SpinDims, sample_coefficients, x_max_schedule
+from .model import (
+    EntanglementReport,
+    SpinDims,
+    _check_unit_norm,
+    sample_coefficients,
+    x_max_schedule,
+)
 
 __all__ = [
     "DEFAULT_TWO_S_GRID",
@@ -109,6 +115,10 @@ class SweepConfig:
         c = tuple(complex(v) for v in self.c)
         if not np.isfinite(c).all():
             raise ValueError("every device weight c must be finite")
+        # refused here, not at trial 1 after the workers have started
+        _check_unit_norm(c)
+        if c[0] != 0 or c[1] != 0:
+            raise ValueError("the sweep draws the two-level device: c1 and c2 must be 0")
         if self.oracle_crosscheck_max_dim > oracle.ORACLE_MAX_DIM:
             raise ValueError(
                 f"oracle_crosscheck_max_dim must be <= {oracle.ORACLE_MAX_DIM}, "

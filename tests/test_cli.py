@@ -1,8 +1,16 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinshield import cli
 from spinshield.cli import CSV_HEADER, fnv1a64, main
@@ -322,6 +330,91 @@ def test_single_json_mode(capsys):
 def test_single_bad_flags_exit_2():
     assert run_cli(["single"]) == 2  # --two-s is required
     assert run_cli(["single", "--two-s", "2", "--json", "--text"]) == 2
+    # bad settings are refused before any draw
+    assert run_cli(["single", "--two-s", "0"]) == 2
+    assert run_cli(["single", "--two-s", "-2"]) == 2
+    assert run_cli(["single", "--two-s", "2", "--n", "4"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# fuzz: tiny valid values mixed with malformed ones, flag by flag
+
+_FUZZ_FLAGS = {
+    "sweep": {
+        "--two-s": ["2", "1,3", "2:8:2", "0", "-2", "2,2", "abc", "nan", "inf", "1:1e9:1.00001"],
+        "--n": ["1", "1,3", "0", "4", "-1", "abc"],
+        "--trials": ["1", "3", "0", "-1", "abc", "nan"],
+        "--seed": ["0", "7", "-1", "abc"],
+        "--c3": ["1", "0.6", "1j", "0", "-1", "nan", "inf", "abc"],
+        "--c4": ["1", "0.8", "0", "nan", "abc"],
+        "--oracle-crosscheck-max-dim": ["0", "16", "-1", "5000", "abc"],
+    },
+    "verify": {
+        "--two-s-max": ["1", "4", "0", "-1", "64", "abc"],
+        "--cases": ["1", "3", "0", "-2", "abc", "nan"],
+        "--tol": ["1e-10", "0", "-1", "nan", "inf", "abc"],
+        "--seed": ["0", "5", "-3", "abc"],
+    },
+    # never a large valid two_s: single allocates 4 x m arrays
+    "single": {
+        "--two-s": ["1", "2", "3", "64", "0", "-2", "abc", "nan", "inf"],
+        "--n": ["1", "3", "0", "4", "-1", "abc"],
+        "--seed": ["0", "-1", "abc"],
+    },
+}
+_FUZZ_SWITCHES = {"sweep": ["--complex"], "verify": [], "single": ["--complex", "--json", "--text"]}
+_FUZZ_CONFIG_LINES = [
+    "two_s = 2,4",
+    "n = 3",
+    "trials = 2",
+    "trials = abc",
+    "seed = 5",
+    "complex = yes",
+    "complex = maybe",
+    "c3 = 1j",
+    "turbo = on",
+    "no equals sign",
+    "two_s = 1:1e9:1.00001",
+]
+
+
+@st.composite
+def _fuzz_case(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    argv = [command]
+    for flag, values in _FUZZ_FLAGS[command].items():
+        value = draw(st.none() | st.sampled_from(values))
+        if value is not None:
+            argv += [flag, value]
+    for switch in _FUZZ_SWITCHES[command]:
+        if draw(st.booleans()):
+            argv.append(switch)
+    config = None
+    if command == "sweep":
+        config = draw(st.none() | st.lists(st.sampled_from(_FUZZ_CONFIG_LINES), max_size=3))
+    return argv, config
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fuzz_case())
+def test_cli_fuzz_exit_codes(case):
+    argv, config = case
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, {cli.WORKERS_ENV: "1"}):
+        out = Path(tmp) / "out"
+        if argv[0] == "sweep":
+            argv = [*argv, "--out", str(out)]
+            if config is not None:
+                cfg = Path(tmp) / "run.cfg"
+                cfg.write_text("".join(line + "\n" for line in config))
+                argv += ["--config", str(cfg)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            # a usage error is caught before any work starts
+            assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -83,11 +83,17 @@ def test_coefficient_set_shape_checks():
 
 
 def test_coefficient_set_rejects_nonfinite():
-    dims = SpinDims(0)
-    x = np.zeros((4, 1))
-    x[2, 0] = np.inf
-    with pytest.raises(ValueError, match="finite"):
-        CoefficientSet(dims, BELL_C, x, np.zeros((4, 1)))
+    # every row of x and y, in the real and the imaginary part, for the
+    # two-level weights and for weights with c1 != 0
+    dims = SpinDims(1)
+    for c in (BELL_C, (0.6, 0, 0.8, 0)):
+        for name in ("x", "y"):
+            for row in range(4):
+                for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, -np.inf)):
+                    arrays = {"x": np.zeros((4, 2), dtype=complex), "y": np.zeros((4, 2), dtype=complex)}
+                    arrays[name][row, 1] = bad
+                    with pytest.raises(ValueError, match="finite"):
+                        CoefficientSet(dims, c, arrays["x"], arrays["y"])
 
 
 def test_coefficient_set_arrays_read_only():

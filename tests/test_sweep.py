@@ -210,6 +210,8 @@ def test_sweep_error_is_picklable():
         {"c": (0, 0, float("inf"), 0)},
         {"c": (0, 0, complex(1, -float("inf")), 0)},
         {"oracle_crosscheck_max_dim": ORACLE_MAX_DIM + 1},
+        {"c": (0, 0, 1, 1)},  # squared norm 2
+        {"c": (0.6, 0, 0.8, 0)},  # four-level: the sweep draws only d = 3, 4
     ],
 )
 def test_config_rejects_invalid(kwargs):
