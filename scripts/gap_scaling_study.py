@@ -3,8 +3,8 @@
 
 For a handful of fixed random draws, every halving of the perturbation scale
 should shrink |C^2 - tau| by about 4x (the gap is quadratic in the
-perturbations), and the shared first-order value should approach both exact
-measures at the same quadratic rate.
+perturbations), and C^2 should approach T1, the first-order value that
+first_order_expansion returns for both measures, at the same quadratic rate.
 """
 
 import argparse
@@ -39,7 +39,7 @@ def study(two_s: int, draws: int, seed: int) -> None:
             scaled = cs.scaled(t)
             c = concurrence_closed(scaled)
             gap = monogamy_slack(scaled)
-            t1, _ = first_order_expansion(scaled)
+            t1 = first_order_expansion(scaled)
             ratio = f"{gap / previous:8.3f}" if previous else "       -"
             print(f"  {t:>10.5f} {gap:>12.3e} {ratio} {abs(c * c - t1):>12.3e}")
             previous = gap

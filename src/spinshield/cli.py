@@ -44,6 +44,13 @@ class UsageError(Exception):
 # flag and config-file parsing
 
 
+def _parse_int_list(text: str, name: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError as exc:
+        raise UsageError(f"bad {name} list {text!r}: {exc}") from exc
+
+
 def _parse_two_s(text: str) -> tuple[int, ...]:
     """Comma list ("2,4,10") or geometric range ("min:max:factor")."""
     text = text.strip()
@@ -68,18 +75,11 @@ def _parse_two_s(text: str) -> tuple[int, ...]:
             values.append(int(round(v)))
             v *= factor
         return tuple(sorted(set(values)))
-    try:
-        values = tuple(int(p) for p in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"bad two_s list {text!r}: {exc}") from exc
-    return values
+    return _parse_int_list(text, "two_s")
 
 
 def _parse_n(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"bad n list {text!r}: {exc}") from exc
+    return _parse_int_list(text, "n")
 
 
 def _parse_bool(text: str) -> bool:
@@ -366,8 +366,8 @@ def cmd_verify(args) -> int:
         raise UsageError("--cases must be >= 1")
     if not 1 <= args.two_s_max <= 63:
         raise UsageError("--two-s-max must be in [1, 63] (dense-oracle gate)")
-    if not args.tol > 0:
-        raise UsageError("--tol must be positive")
+    if not 0 < args.tol < math.inf:
+        raise UsageError("--tol must be positive and finite")
 
     all_pass = True
     # the family's position seeds its cases, so the table's order is part of the output

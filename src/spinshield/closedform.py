@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CoefficientSet, DeviceModeError, EntanglementReport
+from .model import CoefficientSet, DeviceModeError, EntanglementReport, _clamp_unit
 
 __all__ = [
     "BranchSums",
@@ -25,9 +25,6 @@ __all__ = [
     "first_order_expansion",
     "evaluate",
 ]
-
-_UNIT_CLAMP = 1e-12
-
 
 @dataclass(frozen=True)
 class BranchSums:
@@ -122,16 +119,6 @@ def branch_sums(cs: CoefficientSet) -> BranchSums:
     return BranchSums(X3=X3, X4=X4, Y3=Y3, Y4=Y4, X34=X34, Y34=Y34, GX=GX, GY=GY)
 
 
-def _clamp_unit(v: float) -> float:
-    # Rounding can overshoot the unit interval by a few ulp; values further
-    # out than the clamp window are genuine errors and are left alone.
-    if 1.0 < v <= 1.0 + _UNIT_CLAMP:
-        return 1.0
-    if -_UNIT_CLAMP <= v < 0.0:
-        return 0.0
-    return v
-
-
 def _measures(cs: CoefficientSet) -> tuple[float, float, float]:
     """(concurrence, one-tangle, monogamy slack) from one pass over the sums.
 
@@ -182,17 +169,17 @@ def evaluate(cs: CoefficientSet) -> EntanglementReport:
     return EntanglementReport(c, tau, -slack + 0.0, slack)
 
 
-def first_order_expansion(cs: CoefficientSet) -> tuple[float, float]:
-    """Expansions of concurrence**2 and one-tangle to first order in the perturbations.
+def first_order_expansion(cs: CoefficientSet) -> float:
+    """The common first-order expansion T1 of concurrence**2 and of the one-tangle.
 
     Writing xbar_d for the mean real part of row d (ybar_d likewise), both
-    measures truncate to the same value
+    measures truncate at first order in the perturbations to the same value
 
         T1 = (2 |c3 c4| m_a m_b (1 + xbar3 + xbar4 + ybar3 + ybar4) / N1^2)^2,
 
     with N1^2 the first-order expansion of the squared normalization.  The
-    returned pair is identical by construction; the residual against the
-    exact values is quadratic in the perturbation scale.
+    residual of either exact measure against T1 is quadratic in the
+    perturbation scale.
     """
     _require_two_level(cs)
     xbar3 = float(np.mean(cs.x[2].real))
@@ -202,7 +189,6 @@ def first_order_expansion(cs: CoefficientSet) -> tuple[float, float]:
     w3, w4 = abs(cs.c[2]) ** 2, abs(cs.c[3]) ** 2
     # the m_a * m_b factors of the numerator and of N1^2 cancel exactly
     n1_ratio = w3 * (1.0 + 2.0 * (xbar3 + ybar3)) + w4 * (1.0 + 2.0 * (xbar4 + ybar4))
-    t1 = float(
+    return float(
         (2.0 * abs(cs.c[2] * cs.c[3]) * (1.0 + xbar3 + xbar4 + ybar3 + ybar4) / n1_ratio) ** 2
     )
-    return t1, t1

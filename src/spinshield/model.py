@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _C_NORM_TOL = 1e-12
+_UNIT_CLAMP = 1e-12
 
 
 class DegenerateStateError(ValueError):
@@ -48,6 +49,16 @@ class DeviceModeError(ValueError):
 
 def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real**2 + z.imag**2
+
+
+def _clamp_unit(v: float) -> float:
+    # Rounding can overshoot the unit interval by a few ulp; values further
+    # out than the clamp window are genuine errors and are left alone.
+    if 1.0 < v <= 1.0 + _UNIT_CLAMP:
+        return 1.0
+    if -_UNIT_CLAMP <= v < 0.0:
+        return 0.0
+    return v
 
 
 def _frozen_array(values, shape, check_finite: bool = True) -> np.ndarray:

@@ -10,11 +10,20 @@ ones that scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CoefficientSet, SpinDims, _abs2, _frozen_array, _norm_squared, normalization
+from .model import (
+    CoefficientSet,
+    SpinDims,
+    _abs2,
+    _clamp_unit,
+    _frozen_array,
+    _norm_squared,
+    normalization,
+)
 
 __all__ = [
     "ORACLE_MAX_DIM",
@@ -33,10 +42,8 @@ _HERMITIAN_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-10
 
-# Edge of the square tiles _hermitian_deviation compares: a 64 x 64 complex
-# tile and its transposed partner (128 KiB together) stay in cache.  Matrices
-# of at most this many rows are checked by the direct formula.
-_HERMITIAN_TILE = 64
+# _is_hermitian uses the direct formula up to this many rows.
+_DIRECT_MAX_ROWS = 64
 
 # Height of the row strips the two O(n^2) tolerance checks walk: a 32-row
 # strip of a 1089 x 1089 complex matrix (557 KB) stays in L2, and a
@@ -47,6 +54,10 @@ _STRIP = 32
 # d=3 -> |00>, d=4 -> |11>.  Indexing amp by this array reorders the device
 # axis into the product basis |00>, |01>, |10>, |11>.
 _DEVICE_ROW_FOR_PRODUCT = np.array([2, 0, 1, 3])
+
+# Subsystem selector -> the axes it keeps of the product-basis tensor
+# (q1, q2, a, b); reduce traces out the others.
+_KEPT_AXES = {"D": (0, 1), "Q1": (0,), "Q2": (1,), "M": (2, 3), "A": (2,), "B": (3,)}
 
 _SIGMA_YY = np.array(
     [
@@ -60,23 +71,8 @@ _SIGMA_YY = np.array(
 
 
 def _hermitian_deviation(e: np.ndarray) -> float:
-    """max |e - e^H| over all entries, without a full-size transposed copy.
-
-    Only the tile pairs on and above the diagonal are compared: the deviation
-    at (j, i) is the negated conjugate of the one at (i, j), so its modulus
-    is bitwise the same and the maximum equals the direct formula exactly
-    (NaN included, which np.max propagates).
-    """
-    n = e.shape[0]
-    b = _HERMITIAN_TILE
-    if n <= b:
-        return float(np.max(np.abs(e - e.conj().T)))
-    tile_max = [
-        np.max(np.abs(e[i:i + b, j:j + b] - e[j:j + b, i:i + b].conj().T))
-        for i in range(0, n, b)
-        for j in range(i, n, b)
-    ]
-    return float(np.max(tile_max))
+    """max |e - e^H| over all entries (NaN if any entry is NaN)."""
+    return float(np.abs(e - e.conj().T).max())
 
 
 def _within_tol(d: np.ndarray, tol: float) -> bool:
@@ -116,8 +112,8 @@ def _is_hermitian(e: np.ndarray, tol: float) -> bool:
     strip.
     """
     n = e.shape[0]
-    if n <= _HERMITIAN_TILE:
-        return bool(np.abs(e - e.conj().T).max() <= tol)
+    if n <= _DIRECT_MAX_ROWS:
+        return _hermitian_deviation(e) <= tol
     buf = np.empty(n * min(n, _STRIP), dtype=e.dtype)
     for i in range(0, n, _STRIP):
         lower = e[i:, i:i + _STRIP]
@@ -214,24 +210,15 @@ def reduce(state: PureState, keep: str) -> DensityMatrix:
     |00>, |01>, |10>, |11>), "Q1" or "Q2" (single qubit), "M" (both
     apparatus spins, second index fastest), "A" or "B" (one spin).
     """
-    a = state.amp
-    if keep == "D":
-        prod = a[_DEVICE_ROW_FOR_PRODUCT]
-        rho = np.einsum("dab,eab->de", prod, prod.conj())
-    elif keep in ("Q1", "Q2"):
-        qq = a[_DEVICE_ROW_FOR_PRODUCT].reshape(2, 2, state.dims.m_a, state.dims.m_b)
-        subscripts = "qrab,srab->qs" if keep == "Q1" else "qrab,qsab->rs"
-        rho = np.einsum(subscripts, qq, qq.conj())
-    elif keep == "M":
-        # one zgemm with inner dimension 4: rho[ab, ce] = sum_d a[d,ab] a*[d,ce]
-        flat = a.reshape(4, state.dims.m_a * state.dims.m_b)
-        rho = flat.T @ flat.conj()
-    elif keep == "A":
-        rho = np.einsum("dab,dcb->ac", a, a.conj())
-    elif keep == "B":
-        rho = np.einsum("dab,dac->bc", a, a.conj())
-    else:
+    kept = _KEPT_AXES.get(keep)
+    if kept is None:
         raise ValueError(f"unknown subsystem selector {keep!r}")
+    t = state.amp[_DEVICE_ROW_FOR_PRODUCT].reshape(2, 2, state.dims.m_a, state.dims.m_b)
+    # K: the kept axes first, in order (the last one fastest), and the traced
+    # ones flattened into its columns, so that rho = K K^H
+    k = np.moveaxis(t, kept, range(len(kept)))
+    k = k.reshape(math.prod(k.shape[:len(kept)]), -1)
+    rho = k @ k.conj().T
     # frozen, so DensityMatrix adopts it without a copy
     rho.setflags(write=False)
     return DensityMatrix(rho.shape[0], rho)
@@ -257,8 +244,7 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
     factor = u * np.sqrt(np.clip(mu, 0.0, None))
     k = factor.T @ _SIGMA_YY @ factor
     lam = np.linalg.svd(k, compute_uv=False)
-    c = max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
-    return 1.0 if 1.0 < c <= 1.0 + 1e-12 else c
+    return _clamp_unit(max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3])))
 
 
 def one_tangle(rho: DensityMatrix) -> float:
@@ -266,12 +252,7 @@ def one_tangle(rho: DensityMatrix) -> float:
     if rho.dim != 2:
         raise ValueError("one-tangle is defined for 2x2 (single-qubit) matrices")
     e = rho.entries
-    t = 4.0 * (e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]).real
-    if -1e-12 <= t < 0.0:
-        return 0.0
-    if 1.0 < t <= 1.0 + 1e-12:
-        return 1.0
-    return t
+    return _clamp_unit(4.0 * (e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]).real)
 
 
 def separability_structure_check(cs: CoefficientSet, tol: float = 1e-10) -> bool:

@@ -14,7 +14,6 @@ between schedules exact rather than statistical.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,9 +118,9 @@ class SweepConfig:
         _check_unit_norm(c)
         if c[0] != 0 or c[1] != 0:
             raise ValueError("the sweep draws the two-level device: c1 and c2 must be 0")
-        if self.oracle_crosscheck_max_dim > oracle.ORACLE_MAX_DIM:
+        if not 0 <= self.oracle_crosscheck_max_dim <= oracle.ORACLE_MAX_DIM:
             raise ValueError(
-                f"oracle_crosscheck_max_dim must be <= {oracle.ORACLE_MAX_DIM}, "
+                f"oracle_crosscheck_max_dim must be in [0, {oracle.ORACLE_MAX_DIM}], "
                 "the dense oracle's gate on m_a*m_b"
             )
         object.__setattr__(self, "two_s_values", tuple(int(v) for v in self.two_s_values))
@@ -222,10 +221,6 @@ def _trial_reports(
     return reports
 
 
-def _chunk_task(task: tuple[SweepConfig, int, int, int, int]) -> list[EntanglementReport]:
-    return _trial_reports(*task)
-
-
 def run_sweep(config: SweepConfig, workers: int | None = None) -> list[SweepPoint]:
     """Evaluate every (n, two_s) gridpoint; n-major, two_s-minor output order.
 
@@ -243,16 +238,18 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> list[SweepPoin
     if workers < 1:
         raise ValueError("workers must be >= 1")
     points = [(n, two_s) for n in config.n_values for two_s in config.two_s_values]
-    chunks = 1
-    if workers > 1 and len(points) < 2 * workers:
-        chunks = min(config.trials, -(-2 * workers // len(points)))  # at least 2 tasks per worker
+    # at least 2 tasks per worker; 1 chunk per point once there are that many points
+    chunks = min(config.trials, -(-2 * workers // len(points)))
     bounds = [1 + config.trials * i // chunks for i in range(chunks + 1)]
     tasks = [(config, n, two_s, lo, hi) for n, two_s in points for lo, hi in zip(bounds, bounds[1:])]
     if workers == 1 or len(tasks) == 1:
-        results = [_chunk_task(t) for t in tasks]
+        results = [_trial_reports(*t) for t in tasks]
     else:
+        # imported here: serial runs never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            results = list(pool.map(_chunk_task, tasks))
+            results = list(pool.map(_trial_reports, *zip(*tasks)))
     return [
         SweepPoint(
             two_s=two_s,

@@ -156,18 +156,20 @@ def test_sweep_config_file(tmp_path):
 
 
 def test_sweep_crosscheck_bound_beyond_oracle_gate_is_usage_error(tmp_path, capsys):
-    out = tmp_path / "flag"
-    assert run_cli(["sweep", "--two-s", "100", "--trials", "2",
-                    "--oracle-crosscheck-max-dim", "100000", "--out", str(out)]) == 2
-    assert "oracle_crosscheck_max_dim" in capsys.readouterr().err
-    assert not out.exists()
+    # above the oracle's gate, or negative
+    for value in ("100000", "-5"):
+        out = tmp_path / f"flag{value}"
+        assert run_cli(["sweep", "--two-s", "100", "--trials", "2",
+                        "--oracle-crosscheck-max-dim", value, "--out", str(out)]) == 2
+        assert "oracle_crosscheck_max_dim" in capsys.readouterr().err
+        assert not out.exists()
 
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("two_s = 100\ntrials = 2\noracle_crosscheck_max_dim = 100000\n")
-    out = tmp_path / "config"
-    assert run_cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "oracle_crosscheck_max_dim" in capsys.readouterr().err
-    assert not out.exists()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"two_s = 100\ntrials = 2\noracle_crosscheck_max_dim = {value}\n")
+        out = tmp_path / f"config{value}"
+        assert run_cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "oracle_crosscheck_max_dim" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -261,6 +263,14 @@ def test_verify_passes_with_defaults(capsys):
 
 def test_verify_zero_cases_is_usage_error():
     assert run_cli(["verify", "--cases", "0"]) == 2
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+def test_verify_tolerance_must_be_positive_and_finite(capsys, tol):
+    assert run_cli(["verify", "--cases", "2", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert "--tol" in captured.err
+    assert captured.out == ""  # refused before any case runs
 
 
 def test_verify_impossible_tolerance_fails(capsys):

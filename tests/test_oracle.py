@@ -91,6 +91,18 @@ def _random_four_level_set(seed, two_s):
     return CoefficientSet(dims, c / np.linalg.norm(c), x, y)
 
 
+# Each selector's partial trace written out as an einsum over the product-basis
+# tensor t[q1, q2, a, b]; the kept indices keep their order, the last fastest.
+_REDUCE_EINSUM = {
+    "D": "qrab,stab->qrst",
+    "Q1": "qrab,srab->qs",
+    "Q2": "qrab,qsab->rs",
+    "M": "qrab,qrce->abce",
+    "A": "qrab,qrcb->ac",
+    "B": "qrab,qrac->bc",
+}
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_reduce_apparatus_matches_einsum_definition(seed):
     sets = [
@@ -99,10 +111,15 @@ def test_reduce_apparatus_matches_einsum_definition(seed):
     ]
     for cs in sets:
         state = assemble_state(cs)
-        a = state.amp
-        mm = cs.dims.m_a * cs.dims.m_b
-        expected = np.einsum("dab,dce->abce", a, a.conj()).reshape(mm, mm)
-        np.testing.assert_allclose(reduce(state, "M").entries, expected, rtol=0, atol=1e-15)
+        # device levels 3, 1, 2, 4 are the product states |00>, |01>, |10>, |11>
+        t = state.amp[[2, 0, 1, 3]].reshape(2, 2, cs.dims.m_a, cs.dims.m_b)
+        for keep, subscripts in _REDUCE_EINSUM.items():
+            expected = np.einsum(subscripts, t, t.conj())
+            dim = round(np.sqrt(expected.size))
+            np.testing.assert_allclose(
+                reduce(state, keep).entries, expected.reshape(dim, dim), rtol=0, atol=1e-15,
+                err_msg=keep,
+            )
 
 
 def test_reduce_worked_example_entries():
@@ -402,14 +419,6 @@ def test_density_matrix_rejects_non_hermitian():
 def test_density_matrix_rejects_bad_trace():
     with pytest.raises(ValueError, match="trace"):
         DensityMatrix(2, np.eye(2))
-
-
-@pytest.mark.parametrize("n", [1, 4, 63, 64, 65, 130])
-def test_tiled_hermitian_deviation_is_bitwise_direct(n):
-    rng = np.random.Generator(np.random.PCG64(n))
-    for _ in range(3):
-        e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        assert oracle._hermitian_deviation(e) == np.max(np.abs(e - e.conj().T))
 
 
 def _matrix_with_defect(n, seed, part, mode):

@@ -212,6 +212,7 @@ def test_sweep_error_is_picklable():
         {"oracle_crosscheck_max_dim": ORACLE_MAX_DIM + 1},
         {"c": (0, 0, 1, 1)},  # squared norm 2
         {"c": (0.6, 0, 0.8, 0)},  # four-level: the sweep draws only d = 3, 4
+        {"oracle_crosscheck_max_dim": -5},
     ],
 )
 def test_config_rejects_invalid(kwargs):
