@@ -1,6 +1,7 @@
 """Command-line front end: sweep execution, property verification, single draws.
 
-Exit codes: 0 success, 1 runtime or property failure, 2 usage error.  The
+Exit codes: 0 success, 1 runtime or property failure, 2 usage error (a bad
+setting, or a draw too large for physical memory).  The
 ``SPINSHIELD_WORKERS`` environment variable bounds the worker-process count
 for sweeps (default: all cores); it can never change the output bytes.
 """
@@ -20,10 +21,13 @@ import numpy as np
 from . import __version__, closedform, oracle
 from .model import SpinDims, normalization, sample_coefficients, x_max_schedule
 from .sweep import (
+    MemoryBudgetError,
     SweepConfig,
     SweepPoint,
+    check_memory_budget,
     run_sweep,
     trial_rng,
+    worker_processes,
 )
 
 WORKERS_ENV = "SPINSHIELD_WORKERS"
@@ -284,6 +288,7 @@ def _write(path: Path, text: str) -> bytes:
 def cmd_sweep(args) -> int:
     config = _resolve_sweep_config(args)
     workers = _workers_from_env()
+    check_memory_budget(SpinDims(config.two_s_values[-1]), worker_processes(config, workers))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -401,10 +406,12 @@ def _single_record(args) -> list[tuple[str, object]]:
     oracle can build the state, and rho_M only for m_a*m_b <= 16.
     """
     try:
+        dims = SpinDims(args.two_s)
+        # first: the schedule's float arithmetic overflows for a two_s this refuses
+        check_memory_budget(dims)
         x_max = x_max_schedule(args.two_s, args.n)
-    except ValueError as exc:
+    except ValueError as exc:  # MemoryBudgetError included
         raise UsageError(str(exc)) from exc
-    dims = SpinDims(args.two_s)
     rng = trial_rng(args.seed, args.two_s, 1)
     cs = sample_coefficients(dims, x_max, x_max, SweepConfig().c, rng, args.complex)
     bs = closedform.branch_sums(cs)
@@ -532,7 +539,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, MemoryBudgetError) as exc:  # both refused before any work
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure contract: never a traceback, exit 1

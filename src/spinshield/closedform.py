@@ -92,7 +92,7 @@ def _side_sums(block: np.ndarray) -> tuple[float, float, complex, float]:
         rows = flat = block.real
         w = 0.0
     a3, a4 = np.add.reduce(rows, axis=1).tolist()  # complex, or float for real rows
-    q3, q4 = np.add.reduce(flat * flat, axis=1).tolist()
+    q3, q4 = (float(np.add.reduce(np.square(row))) for row in flat)  # one row's temporary at a time
     p = float(np.add.reduce(flat[0] * flat[1]))
     s3 = m + (2.0 * a3.real + q3)
     s4 = m + (2.0 * a4.real + q4)

@@ -249,12 +249,16 @@ def sample_coefficients(
         if complex_mode:
             for row in rows:
                 mod = bound * (1.0 - rng.random(row.size))
-                row[:] = mod * np.exp(2j * np.pi * rng.random(row.size))
+                # the phase factor is built in the row itself: no complex temporary
+                np.multiply(2j * np.pi, rng.random(row.size), out=row)
+                np.exp(row, out=row)
+                row *= mod
         else:
             # one call fills both rows from the stream in row order
             u = rng.random(rows.shape)
             np.subtract(1.0, u, out=u)
             np.multiply(bound, u, out=rows.real)
+            del u  # freed before the next side draws its own
     # the arrays are frozen here, so CoefficientSet adopts them without a copy
     x.setflags(write=False)
     y.setflags(write=False)

@@ -33,6 +33,10 @@ __all__ = [
     "SweepConfig",
     "SweepPoint",
     "SweepError",
+    "MemoryBudgetError",
+    "trial_peak_bytes",
+    "worker_processes",
+    "check_memory_budget",
     "trial_seed",
     "trial_rng",
     "summarize",
@@ -84,6 +88,47 @@ class SweepError(RuntimeError):
 
     def __reduce__(self):
         return (SweepError, (self.two_s, self.n, self.trial, self.detail))
+
+
+class MemoryBudgetError(ValueError):
+    """A run whose draws, one per worker process, would not fit in physical memory."""
+
+
+def trial_peak_bytes(dims: SpinDims) -> int:
+    """Upper bound on the bytes one trial holds at once: its draw plus two rows.
+
+    The draw is two 4 x m complex128 matrices, 64 (m_a + m_b) bytes.  Drawing
+    and evaluating it allocate temporaries of at most two complex128 rows
+    (32 max(m_a, m_b) bytes) next to it, and a trial's draw is freed before
+    the next trial draws.
+    """
+    return 64 * (dims.m_a + dims.m_b) + 32 * max(dims.m_a, dims.m_b)
+
+
+def _physical_memory_bytes() -> int | None:
+    """Page size x physical pages, or None where the platform does not report them."""
+    try:
+        page, pages = os.sysconf("SC_PAGE_SIZE"), os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return page * pages if page > 0 and pages > 0 else None
+
+
+def check_memory_budget(dims: SpinDims, processes: int = 1) -> None:
+    """Raise MemoryBudgetError if ``processes`` trials at ``dims`` cannot fit in memory at once."""
+    per_trial = trial_peak_bytes(dims)
+    physical = _physical_memory_bytes()
+    if physical is not None and per_trial * processes > physical:
+        from decimal import Decimal  # exact for any int, where a float would overflow
+
+        def gb(n: int) -> str:
+            return f"{Decimal(n) / 10**9:.3g}"
+
+        raise MemoryBudgetError(
+            f"a draw at m_a = {dims.m_a}, m_b = {dims.m_b} needs up to {gb(per_trial)} GB "
+            f"per worker process, {gb(per_trial * processes)} GB for {processes}, "
+            f"more than the {gb(physical)} GB of physical memory"
+        )
 
 
 @dataclass(frozen=True)
@@ -196,29 +241,57 @@ def _crosscheck_trial(cs, report: EntanglementReport, two_s: int, n: int, trial:
         )
 
 
+def _trial_report(
+    config: SweepConfig, dims: SpinDims, x_max: float, c: np.ndarray, n: int, two_s: int, trial: int
+) -> EntanglementReport:
+    """Report of one trial.  Its draw is freed on return, before the next is made."""
+    rng = trial_rng(config.master_seed, two_s, trial)
+    cs = sample_coefficients(dims, x_max, x_max, c, rng, config.complex_mode)
+    report = closedform.evaluate(cs)
+    if dims.m_a * dims.m_b <= config.oracle_crosscheck_max_dim:
+        _crosscheck_trial(cs, report, two_s, n, trial)
+    return report
+
+
 def _trial_reports(
     config: SweepConfig, n: int, two_s: int, first: int, stop: int
 ) -> list[EntanglementReport]:
     """Reports of trials first .. stop - 1 at one gridpoint, in trial order."""
     x_max = x_max_schedule(two_s, n)
     dims = SpinDims(two_s)
-    crosscheck = dims.m_a * dims.m_b <= config.oracle_crosscheck_max_dim
     c = np.array(config.c)
     c.setflags(write=False)  # every draw adopts this array instead of copying the tuple
     reports = []
     for trial in range(first, stop):
         try:
-            rng = trial_rng(config.master_seed, two_s, trial)
-            cs = sample_coefficients(dims, x_max, x_max, c, rng, config.complex_mode)
-            report = closedform.evaluate(cs)
-            if crosscheck:
-                _crosscheck_trial(cs, report, two_s, n, trial)
+            reports.append(_trial_report(config, dims, x_max, c, n, two_s, trial))
         except SweepError:
             raise
         except Exception as exc:
             raise SweepError(two_s, n, trial, str(exc)) from exc
-        reports.append(report)
     return reports
+
+
+def _chunks(config: SweepConfig, workers: int) -> int:
+    """Contiguous trial chunks per gridpoint: at least 2 tasks per worker, 1 chunk
+    per point once there are that many points."""
+    points = len(config.n_values) * len(config.two_s_values)
+    return min(config.trials, -(-2 * workers // points))
+
+
+def _resolve_workers(workers: int | None) -> int:
+    if workers is None:
+        workers = os.cpu_count() or 1
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    return workers
+
+
+def worker_processes(config: SweepConfig, workers: int | None = None) -> int:
+    """Processes that hold draws during ``run_sweep(config, workers)``; 1 when it runs serially."""
+    workers = _resolve_workers(workers)
+    tasks = len(config.n_values) * len(config.two_s_values) * _chunks(config, workers)
+    return min(workers, tasks)
 
 
 def run_sweep(config: SweepConfig, workers: int | None = None) -> list[SweepPoint]:
@@ -231,24 +304,24 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> list[SweepPoin
     results: every trial owns a stream derived only from (master_seed,
     two_s, trial), and each point is aggregated from its reports in trial
     order.  Any failed trial aborts the sweep with a SweepError naming its
-    coordinates; trials are never silently skipped.
+    coordinates; trials are never silently skipped.  A sweep whose largest
+    draw, once per worker process, exceeds physical memory raises
+    MemoryBudgetError before any trial runs.
     """
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    workers = _resolve_workers(workers)
+    processes = worker_processes(config, workers)
+    check_memory_budget(SpinDims(config.two_s_values[-1]), processes)
     points = [(n, two_s) for n in config.n_values for two_s in config.two_s_values]
-    # at least 2 tasks per worker; 1 chunk per point once there are that many points
-    chunks = min(config.trials, -(-2 * workers // len(points)))
+    chunks = _chunks(config, workers)
     bounds = [1 + config.trials * i // chunks for i in range(chunks + 1)]
     tasks = [(config, n, two_s, lo, hi) for n, two_s in points for lo, hi in zip(bounds, bounds[1:])]
-    if workers == 1 or len(tasks) == 1:
+    if processes == 1:
         results = [_trial_reports(*t) for t in tasks]
     else:
         # imported here: serial runs never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_trial_reports, *zip(*tasks)))
     return [
         SweepPoint(

@@ -188,6 +188,21 @@ def test_sweep_nonfinite_device_weight_is_usage_error(tmp_path, capsys, value):
     assert not out.exists()
 
 
+def test_sweep_draw_beyond_physical_memory_is_usage_error(tmp_path, capsys):
+    # 1.6e22 bytes per draw: refused before the output directory exists
+    out = tmp_path / "flag"
+    assert run_cli(["sweep", "--two-s", str(10**20), "--trials", "1", "--out", str(out)]) == 2
+    assert "physical memory" in capsys.readouterr().err
+    assert not out.exists()
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"two_s = 2,{10**20}\nn = 1\ntrials = 1\n")
+    out = tmp_path / "config"
+    assert run_cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "physical memory" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("two_s = 2\nturbo = on\n")
@@ -346,12 +361,25 @@ def test_single_bad_flags_exit_2():
     assert run_cli(["single", "--two-s", "2", "--n", "4"]) == 2
 
 
+@pytest.mark.parametrize("two_s, n", [(10**20, 1), (10**200, 3), (10**400, 1)])
+def test_single_draw_beyond_physical_memory_is_usage_error(capsys, two_s, n):
+    # refused before the schedule, whose float arithmetic overflows for the last two
+    assert run_cli(["single", "--two-s", str(two_s), "--n", str(n)]) == 2
+    captured = capsys.readouterr()
+    assert "physical memory" in captured.err and captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # fuzz: tiny valid values mixed with malformed ones, flag by flag
 
+# a draw of 1.6e22 bytes: refused by the memory budget, never attempted
+_HUGE_TWO_S = str(10**20)
 _FUZZ_FLAGS = {
     "sweep": {
-        "--two-s": ["2", "1,3", "2:8:2", "0", "-2", "2,2", "abc", "nan", "inf", "1:1e9:1.00001"],
+        "--two-s": [
+            "2", "1,3", "2:8:2", "0", "-2", "2,2", "abc", "nan", "inf", "1:1e9:1.00001",
+            _HUGE_TWO_S,
+        ],
         "--n": ["1", "1,3", "0", "4", "-1", "abc"],
         "--trials": ["1", "3", "0", "-1", "abc", "nan"],
         "--seed": ["0", "7", "-1", "abc"],
@@ -367,7 +395,7 @@ _FUZZ_FLAGS = {
     },
     # never a large valid two_s: single allocates 4 x m arrays
     "single": {
-        "--two-s": ["1", "2", "3", "64", "0", "-2", "abc", "nan", "inf"],
+        "--two-s": ["1", "2", "3", "64", "0", "-2", "abc", "nan", "inf", _HUGE_TWO_S],
         "--n": ["1", "3", "0", "4", "-1", "abc"],
         "--seed": ["0", "-1", "abc"],
     },
@@ -385,6 +413,7 @@ _FUZZ_CONFIG_LINES = [
     "turbo = on",
     "no equals sign",
     "two_s = 1:1e9:1.00001",
+    f"two_s = {_HUGE_TWO_S}",
 ]
 
 
@@ -425,6 +454,8 @@ def test_cli_fuzz_exit_codes(case):
         if code == 2:
             # a usage error is caught before any work starts
             assert not out.exists()
+        if _HUGE_TWO_S in argv:
+            assert code == 2
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,20 @@ def test_branch_sums_worked_example():
     assert bs.Y34 == 2.0 + 0j
 
 
+@pytest.mark.parametrize("complex_mode", [False, True])
+def test_branch_sums_squares_reduce_row_by_row_as_one_2d_reduction(complex_mode):
+    # each row's sum of squares is reduced on its own (one row's temporary at
+    # a time), bitwise equal to the 2-D reduction over both rows
+    cs = random_set(seed=4, two_s_a=1000, two_s_b=999, x_max=0.3, complex_mode=complex_mode)
+    bs = branch_sums(cs)
+    for block, s3, s4 in ((cs.x[2:4], bs.X3, bs.X4), (cs.y[2:4], bs.Y3, bs.Y4)):
+        rows, flat = (block, block.view(np.float64)) if complex_mode else (block.real,) * 2
+        q3, q4 = np.add.reduce(flat * flat, axis=1).tolist()
+        a3, a4 = np.add.reduce(rows, axis=1).tolist()
+        m = block.shape[1]
+        assert (s3, s4) == (m + (2.0 * a3.real + q3), m + (2.0 * a4.real + q4))
+
+
 def test_branch_sums_identical_rows_saturate_cauchy_schwarz():
     dims = SpinDims(1)
     x = np.zeros((4, 2), dtype=complex)

@@ -182,6 +182,17 @@ def test_sample_draw_order_is_pinned():
         np.testing.assert_array_equal(row.real, bound * (1.0 - ref.random(dims.m_a)))
 
 
+def test_sample_complex_draw_order_is_pinned():
+    # per row, the moduli and then the phases; bitwise equal to the plain formula
+    dims = SpinDims(3, 5)
+    rng = np.random.Generator(np.random.PCG64(99))
+    cs = sample_coefficients(dims, 0.5, 0.25, BELL_C, rng, complex_mode=True)
+    ref = np.random.Generator(np.random.PCG64(99))
+    for row, bound in ((cs.x[2], 0.5), (cs.x[3], 0.5), (cs.y[2], 0.25), (cs.y[3], 0.25)):
+        mod = bound * (1.0 - ref.random(row.size))
+        assert row.tobytes() == (mod * np.exp(2j * np.pi * ref.random(row.size))).tobytes()
+
+
 def test_sample_complex_mode():
     cs = random_set(seed=5, two_s_a=3, x_max=0.3, complex_mode=True)
     mods = np.abs(cs.x[2:].ravel())

@@ -1,5 +1,6 @@
 import multiprocessing
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import spinshield.sweep as sweep_mod
 from spinshield import (
     ORACLE_MAX_DIM,
     EntanglementReport,
+    SpinDims,
     SweepConfig,
     SweepError,
     run_sweep,
@@ -16,7 +18,13 @@ from spinshield import (
     trial_seed,
     x_max_schedule,
 )
-from spinshield.sweep import _mix64
+from spinshield.sweep import (
+    MemoryBudgetError,
+    _mix64,
+    check_memory_budget,
+    trial_peak_bytes,
+    worker_processes,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -232,3 +240,70 @@ def test_config_normalizes_n_order():
 def test_run_sweep_rejects_bad_worker_count():
     with pytest.raises(ValueError):
         run_sweep(SweepConfig(two_s_values=(2,), n_values=(1,), trials=1), workers=0)
+
+
+# ---------------------------------------------------------------------------
+# memory: one draw alive per worker process, and a budget checked before any work
+
+
+@pytest.mark.parametrize(
+    "dims, expected",
+    [
+        (SpinDims(0), 64 * 2 + 32),
+        (SpinDims(3, 5), 64 * (4 + 6) + 32 * 6),
+        (SpinDims(100000), 16_000_160),  # 15.26 MiB
+        (SpinDims(10**20), 160 * (10**20 + 1)),
+    ],
+)
+def test_trial_peak_bytes_is_one_draw_plus_two_rows(dims, expected):
+    assert trial_peak_bytes(dims) == expected
+
+
+@pytest.mark.parametrize(
+    "two_s, n, trials, workers, expected",
+    [
+        ((100000,), (1,), 1, 8, 1),  # one task
+        ((100000,), (1, 2, 3), 20, 1, 1),  # serial
+        ((100000,), (1, 2, 3), 20, 2, 2),  # 3 points x 2 chunks on 2 workers
+        ((2, 4), (1,), 3, 16, 6),  # 2 points x 3 chunks: fewer tasks than workers
+    ],
+)
+def test_worker_processes_counts_the_pool(two_s, n, trials, workers, expected):
+    config = SweepConfig(two_s_values=two_s, n_values=n, trials=trials)
+    assert worker_processes(config, workers) == expected
+
+
+def test_memory_budget_compares_draws_times_processes_with_physical_memory(monkeypatch):
+    dims = SpinDims(10)
+    monkeypatch.setattr(sweep_mod, "_physical_memory_bytes", lambda: 2 * trial_peak_bytes(dims))
+    check_memory_budget(dims, 2)
+    with pytest.raises(MemoryBudgetError, match="physical memory"):
+        check_memory_budget(dims, 3)
+    # a platform that does not report its memory refuses nothing
+    monkeypatch.setattr(sweep_mod, "_physical_memory_bytes", lambda: None)
+    check_memory_budget(SpinDims(10**20), 64)
+
+
+def test_run_sweep_refuses_a_draw_beyond_physical_memory_before_any_trial(monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(sweep_mod, "trial_rng", no_trial)
+    config = SweepConfig(two_s_values=(2, 10**20), n_values=(1,), trials=1)
+    for workers in (1, 2):
+        with pytest.raises(MemoryBudgetError, match="physical memory"):
+            run_sweep(config, workers=workers)
+    assert issubclass(MemoryBudgetError, ValueError)
+
+
+@pytest.mark.parametrize("complex_mode", [False, True])
+def test_serial_sweep_holds_one_draw_at_a_time(complex_mode):
+    # three draws of 12.2 MiB each; two alive at once would exceed the bound
+    config = SweepConfig(two_s_values=(100000,), n_values=(1,), trials=3, complex_mode=complex_mode)
+    tracemalloc.start()
+    try:
+        run_sweep(config, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= trial_peak_bytes(SpinDims(100000))
