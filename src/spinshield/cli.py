@@ -121,8 +121,8 @@ _SETTINGS = {
 }
 
 
-def _read_config_file(path: str) -> dict:
-    """Plain `key = value` lines; '#' starts a comment; unknown keys are errors."""
+def _read_config_file(path: str) -> dict[str, tuple[int, str]]:
+    """Plain `key = value` lines; '#' starts a comment; unknown and repeated keys are errors."""
     values = {}
     try:
         lines = Path(path).read_text().splitlines()
@@ -138,14 +138,16 @@ def _read_config_file(path: str) -> dict:
         key = key.strip()
         if key not in _SETTINGS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = value.strip()
+        if key in values:
+            raise UsageError(f"{path}:{lineno}: config key {key!r} repeats line {values[key][0]}")
+        values[key] = lineno, value.strip()
     return values
 
 
 def _resolve_sweep_config(args) -> SweepConfig:
     given = [
         (f"config key {key}", key, text)
-        for key, text in (_read_config_file(args.config) if args.config else {}).items()
+        for key, (_, text) in (_read_config_file(args.config) if args.config else {}).items()
     ]
     given += [
         ("--" + key.replace("_", "-"), key, getattr(args, key))
@@ -407,7 +409,6 @@ def _single_record(args) -> list[tuple[str, object]]:
     """
     try:
         dims = SpinDims(args.two_s)
-        # first: the schedule's float arithmetic overflows for a two_s this refuses
         check_memory_budget(dims)
         x_max = x_max_schedule(args.two_s, args.n)
     except ValueError as exc:  # MemoryBudgetError included

@@ -165,8 +165,7 @@ def monogamy_slack(cs: CoefficientSet) -> float:
 
 def evaluate(cs: CoefficientSet) -> EntanglementReport:
     """Both measures of one draw and their exact slack, from a single pass over the sums."""
-    c, tau, slack = _measures(cs)
-    return EntanglementReport(c, tau, -slack + 0.0, slack)
+    return EntanglementReport(*_measures(cs))
 
 
 def first_order_expansion(cs: CoefficientSet) -> float:

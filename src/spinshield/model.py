@@ -61,15 +61,14 @@ def _clamp_unit(v: float) -> float:
     return v
 
 
-def _frozen_array(values, shape, check_finite: bool = True) -> np.ndarray:
-    """A write-protected complex128 array holding ``values``, checked for shape and finiteness.
+def _frozen_array(values, shape) -> np.ndarray:
+    """A write-protected complex128 array holding ``values``, checked for shape.
 
     A write-protected, C-contiguous complex128 array that owns its data (as
     :func:`sample_coefficients` and the dense oracle build them) is adopted
     as it is; anything else is copied, so a caller's array is never frozen
-    or aliased.  ``check_finite=False`` skips the finiteness pass for a
-    caller that rejects non-finite entries itself, through a narrower pass
-    or tolerance checks that fail on them.
+    or aliased.  Finiteness is left to the caller, which checks only what
+    can hold a non-finite entry or rejects one through its tolerance checks.
     """
     flags = values.flags if isinstance(values, np.ndarray) else None
     if (
@@ -84,8 +83,6 @@ def _frozen_array(values, shape, check_finite: bool = True) -> np.ndarray:
         arr = np.array(values, dtype=np.complex128, order="C")
     if arr.shape != shape:
         raise ValueError(f"expected array of shape {shape}, got {arr.shape}")
-    if check_finite and not np.isfinite(arr).all():
-        raise ValueError("array entries must be finite")
     arr.setflags(write=False)
     return arr
 
@@ -96,7 +93,7 @@ def _perturbations(values, m: int) -> tuple[np.ndarray, bool]:
     Zero rows are finite, so the finiteness pass then covers only rows 2-3,
     as a float64 view of their real and imaginary parts.
     """
-    arr = _frozen_array(values, (4, m), check_finite=False)
+    arr = _frozen_array(values, (4, m))
     upper_zero = not arr[:2].any()
     if not np.isfinite((arr[2:] if upper_zero else arr).view(np.float64)).all():
         raise ValueError("array entries must be finite")
@@ -158,6 +155,8 @@ class CoefficientSet:
 
     def __post_init__(self):
         c = _frozen_array(self.c, (4,))
+        if not np.isfinite(c).all():
+            raise ValueError("device weights must be finite")
         x, x_upper_zero = _perturbations(self.x, self.dims.m_a)
         y, y_upper_zero = _perturbations(self.y, self.dims.m_b)
         _check_unit_norm(c.tolist())
@@ -183,15 +182,14 @@ class CoefficientSet:
 
 @dataclass(frozen=True)
 class EntanglementReport:
-    """Concurrence and one-tangle of a single draw, with their gap.
+    """Concurrence and one-tangle of a single draw, with their monogamy slack.
 
-    ``gap`` is concurrence**2 - one_tangle and ``monogamy_slack`` its exact
-    negation; the slack is nonnegative (tau >= C**2, Coffman-Kundu-Wootters).
+    ``monogamy_slack`` is one_tangle - concurrence**2 and nonnegative
+    (tau >= C**2, Coffman-Kundu-Wootters); ``gap`` is its exact negation.
     """
 
     concurrence: float
     one_tangle: float
-    gap: float
     monogamy_slack: float
 
     def __post_init__(self):
@@ -201,13 +199,11 @@ class EntanglementReport:
             raise ValueError(f"one_tangle out of [0,1]: {self.one_tangle!r}")
         if not self.monogamy_slack >= 0.0:
             raise ValueError(f"monogamy violated: slack = {self.monogamy_slack!r}")
-        if self.gap != -self.monogamy_slack:
-            raise ValueError("gap must equal -monogamy_slack exactly")
 
-    @classmethod
-    def from_measures(cls, concurrence: float, one_tangle: float) -> "EntanglementReport":
-        slack = one_tangle - concurrence * concurrence + 0.0
-        return cls(concurrence, one_tangle, -slack + 0.0, slack)
+    @property
+    def gap(self) -> float:
+        """concurrence**2 - one_tangle, as the slack's exact negation (never -0.0)."""
+        return -self.monogamy_slack + 0.0
 
 
 def x_max_schedule(two_s: int, n: int) -> float:
@@ -215,14 +211,20 @@ def x_max_schedule(two_s: int, n: int) -> float:
 
     Strictly decreasing in the spin size; ``n`` selects how fast the bound
     shrinks (for S > 1, larger ``n`` gives strictly smaller bounds; the
-    exponent is irrelevant at S = 1).
+    exponent is irrelevant at S = 1).  Raises ValueError where the bound
+    is not a positive float64.
     """
     if not isinstance(two_s, (int, np.integer)) or two_s < 1:
         raise ValueError(f"two_s must be a positive integer, got {two_s!r}")
     if n not in (1, 2, 3):
         raise ValueError(f"n must be 1, 2 or 3, got {n!r}")
-    s = two_s / 2.0
-    return 1.0 / (2.0 * s**n)
+    try:
+        x_max = 1.0 / (2.0 * (two_s / 2.0) ** n)
+    except OverflowError:  # two_s beyond float64, or S**n
+        x_max = 0.0
+    if x_max == 0.0:
+        raise ValueError(f"two_s of {int(two_s).bit_length()} bits: 1 / (2 S**{n}) underflows to 0")
+    return x_max
 
 
 def sample_coefficients(

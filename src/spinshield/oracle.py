@@ -151,7 +151,7 @@ class PureState:
     amp: np.ndarray
 
     def __post_init__(self):
-        amp = _frozen_array(self.amp, (4, self.dims.m_a, self.dims.m_b), check_finite=False)
+        amp = _frozen_array(self.amp, (4, self.dims.m_a, self.dims.m_b))
         norm_sq = float(np.sum(_abs2(amp)))
         if not abs(norm_sq - 1.0) <= 1e-12:
             raise _invalid(amp, f"state norm^2 deviates from 1 by {norm_sq - 1.0:.3e}")
@@ -175,7 +175,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = _frozen_array(self.entries, (self.dim, self.dim), check_finite=False)
+        entries = _frozen_array(self.entries, (self.dim, self.dim))
         # inf - inf makes a NaN deviation, which fails the check; it must not warn
         with np.errstate(invalid="ignore"):
             if not _is_hermitian(entries, _HERMITIAN_TOL):

@@ -205,27 +205,23 @@ def _mean_std(values: np.ndarray) -> tuple[float, float]:
     return mean, float(np.std(values, ddof=1))
 
 
-def summarize(reports) -> dict:
-    """Mean and sample standard deviation (n-1 denominator) of a batch of reports."""
-    reports = list(reports)
-    if not reports:
-        raise ValueError("summarize requires at least one report")
-    c = np.array([r.concurrence for r in reports])
-    tau = np.array([r.one_tangle for r in reports])
-    gap = np.array([r.gap for r in reports])
-    mean_c, std_c = _mean_std(c)
-    mean_tau, std_tau = _mean_std(tau)
-    mean_gap, std_gap = _mean_std(gap)
-    return {
-        "mean_c": mean_c,
-        "std_c": std_c,
-        "mean_tau": mean_tau,
-        "std_tau": std_tau,
-        "mean_gap": mean_gap,
-        "std_gap": std_gap,
-        "mean_abs_gap": float(np.mean(np.abs(gap))) + 0.0,
-        "min_monogamy_slack": min(r.monogamy_slack for r in reports),
-    }
+def summarize(rows: np.ndarray, two_s: int, n: int) -> SweepPoint:
+    """The point's statistics from its (trials, 3) rows of (C, tau, slack) in trial order.
+
+    Means, and sample standard deviations with the n-1 denominator.  The gap
+    C**2 - tau is the slack's exact negation, and negation commutes exactly
+    with numpy's pairwise sum and with np.std, so the gap columns are the
+    slack's statistics negated.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != 3 or not len(rows):
+        raise ValueError(f"summarize requires a nonempty (trials, 3) array, got {rows.shape}")
+    c, tau, slack = rows.T
+    mean_slack, std_slack = _mean_std(slack)
+    return SweepPoint(
+        two_s, n, len(rows), *_mean_std(c), *_mean_std(tau),
+        -mean_slack + 0.0, std_slack, mean_slack, float(slack.min()),
+    )
 
 
 def _crosscheck_trial(cs, report: EntanglementReport, two_s: int, n: int, trial: int) -> None:
@@ -253,23 +249,22 @@ def _trial_report(
     return report
 
 
-def _trial_reports(
-    config: SweepConfig, n: int, two_s: int, first: int, stop: int
-) -> list[EntanglementReport]:
-    """Reports of trials first .. stop - 1 at one gridpoint, in trial order."""
+def _trial_rows(config: SweepConfig, n: int, two_s: int, first: int, stop: int) -> np.ndarray:
+    """(C, tau, slack) rows of trials first .. stop - 1 at one gridpoint, in trial order."""
     x_max = x_max_schedule(two_s, n)
     dims = SpinDims(two_s)
     c = np.array(config.c)
     c.setflags(write=False)  # every draw adopts this array instead of copying the tuple
-    reports = []
+    rows = np.empty((stop - first, 3))
     for trial in range(first, stop):
         try:
-            reports.append(_trial_report(config, dims, x_max, c, n, two_s, trial))
+            r = _trial_report(config, dims, x_max, c, n, two_s, trial)
         except SweepError:
             raise
         except Exception as exc:
             raise SweepError(two_s, n, trial, str(exc)) from exc
-    return reports
+        rows[trial - first] = r.concurrence, r.one_tangle, r.monogamy_slack
+    return rows
 
 
 def _chunks(config: SweepConfig, workers: int) -> int:
@@ -302,7 +297,7 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> list[SweepPoin
     split into contiguous chunks that run as separate tasks, so a single
     large point still uses every core.  The worker count cannot change the
     results: every trial owns a stream derived only from (master_seed,
-    two_s, trial), and each point is aggregated from its reports in trial
+    two_s, trial), and each point is aggregated from its rows in trial
     order.  Any failed trial aborts the sweep with a SweepError naming its
     coordinates; trials are never silently skipped.  A sweep whose largest
     draw, once per worker process, exceeds physical memory raises
@@ -316,19 +311,14 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> list[SweepPoin
     bounds = [1 + config.trials * i // chunks for i in range(chunks + 1)]
     tasks = [(config, n, two_s, lo, hi) for n, two_s in points for lo, hi in zip(bounds, bounds[1:])]
     if processes == 1:
-        results = [_trial_reports(*t) for t in tasks]
+        results = [_trial_rows(*t) for t in tasks]
     else:
         # imported here: serial runs never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            results = list(pool.map(_trial_reports, *zip(*tasks)))
+            results = list(pool.map(_trial_rows, *zip(*tasks)))
     return [
-        SweepPoint(
-            two_s=two_s,
-            n=n,
-            trials=config.trials,
-            **summarize(r for part in results[i * chunks:(i + 1) * chunks] for r in part),
-        )
+        summarize(np.concatenate(results[i * chunks:(i + 1) * chunks]), two_s, n)
         for i, (n, two_s) in enumerate(points)
     ]

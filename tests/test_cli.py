@@ -209,6 +209,16 @@ def test_sweep_config_file_unknown_key(tmp_path):
     assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
 
 
+def test_sweep_config_file_repeated_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("two_s = 2\ntrials = 5\n# comment\ntrials = 7\n")
+    out = tmp_path / "r"
+    assert run_cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}:4:" in err and "'trials'" in err and "line 2" in err
+    assert not out.exists()
+
+
 def test_sweep_runtime_failure_exit_1_with_diagnostic(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("spinshield.sweep.ORACLE_CROSSCHECK_TOL", -1.0)
     monkeypatch.setenv(cli.WORKERS_ENV, "1")

@@ -59,6 +59,14 @@ def test_schedule_domain_errors(two_s, n):
         x_max_schedule(two_s, n)
 
 
+@pytest.mark.parametrize("two_s,n", [(10**400, 1), (10**200, 2), (10**200, 3), (10**103, 3)])
+def test_schedule_beyond_float64_is_value_error(two_s, n):
+    # S, or 2 S**n, overflows float64; the message names the size, not 400 digits
+    with pytest.raises(ValueError, match="bits") as info:
+        x_max_schedule(two_s, n)
+    assert len(str(info.value)) < 80
+
+
 @given(st.integers(min_value=1, max_value=10**6), st.sampled_from([1, 2]))
 def test_schedule_strictly_decreasing(two_s, n):
     assert x_max_schedule(two_s + 1, n) < x_max_schedule(two_s, n)
@@ -94,6 +102,14 @@ def test_coefficient_set_rejects_nonfinite():
                     arrays[name][row, 1] = bad
                     with pytest.raises(ValueError, match="finite"):
                         CoefficientSet(dims, c, arrays["x"], arrays["y"])
+    # every device weight
+    zeros = np.zeros((4, 2))
+    for d in range(4):
+        for bad in (np.nan, np.inf, complex(0, np.nan)):
+            c = np.array(BELL_C, dtype=complex)
+            c[d] = bad
+            with pytest.raises(ValueError, match="finite"):
+                CoefficientSet(dims, c, zeros, zeros)
 
 
 def test_coefficient_set_arrays_read_only():
@@ -260,16 +276,21 @@ def test_assembled_state_has_unit_norm(seed, two_s_a, two_s_b, x_max):
 
 
 def test_report_gap_is_negated_slack():
-    r = EntanglementReport.from_measures(0.9, 0.85)
+    r = EntanglementReport(0.9, 0.85, 0.85 - 0.81)
     assert r.gap == -(r.monogamy_slack)
     assert r.gap == pytest.approx(0.81 - 0.85, abs=1e-15)
+    # a zero slack gives a gap of +0.0, never -0.0
+    assert np.copysign(1.0, EntanglementReport(1.0, 1.0, 0.0).gap) == 1.0
+    assert [f.name for f in dataclasses.fields(EntanglementReport)] == [
+        "concurrence", "one_tangle", "monogamy_slack"
+    ]
 
 
 def test_report_rejects_monogamy_violation():
     with pytest.raises(ValueError, match="monogamy"):
-        EntanglementReport.from_measures(1.0, 0.5)
+        EntanglementReport(1.0, 0.5, -0.5)
 
 
 def test_report_rejects_out_of_range():
     with pytest.raises(ValueError):
-        EntanglementReport(1.5, 1.0, -0.0, 0.0)
+        EntanglementReport(1.5, 1.0, 0.0)

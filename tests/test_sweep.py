@@ -8,7 +8,6 @@ import pytest
 import spinshield.sweep as sweep_mod
 from spinshield import (
     ORACLE_MAX_DIM,
-    EntanglementReport,
     SpinDims,
     SweepConfig,
     SweepError,
@@ -56,34 +55,66 @@ def test_trial_rng_streams_are_independent_and_reproducible():
 # summarize
 
 
+def _rows(*measures):
+    """(C, tau, slack) rows with the slack taken as tau - C**2."""
+    return np.array([(c, tau, tau - c * c) for c, tau in measures])
+
+
 def test_summarize_single_sample():
-    stats = summarize([EntanglementReport.from_measures(1.0, 1.0)])
-    assert stats["mean_c"] == 1.0 and stats["std_c"] == 0.0
-    assert stats["mean_tau"] == 1.0 and stats["std_tau"] == 0.0
+    point = summarize(_rows((1.0, 1.0)), two_s=4, n=2)
+    assert (point.two_s, point.n, point.trials) == (4, 2, 1)
+    assert point.mean_c == 1.0 and point.std_c == 0.0
+    assert point.mean_tau == 1.0 and point.std_tau == 0.0
 
 
 def test_summarize_two_samples():
-    reports = [
-        EntanglementReport.from_measures(0.4, 0.9),
-        EntanglementReport.from_measures(0.6, 0.9),
-    ]
-    stats = summarize(reports)
-    assert stats["mean_c"] == pytest.approx(0.5, abs=1e-15)
-    assert stats["std_c"] == pytest.approx(0.141421, abs=5e-7)
-    assert stats["std_c"] == pytest.approx(np.sqrt(0.02), rel=1e-12)
+    point = summarize(_rows((0.4, 0.9), (0.6, 0.9)), two_s=2, n=1)
+    assert point.trials == 2
+    assert point.mean_c == pytest.approx(0.5, abs=1e-15)
+    assert point.std_c == pytest.approx(0.141421, abs=5e-7)
+    assert point.std_c == pytest.approx(np.sqrt(0.02), rel=1e-12)
 
 
 def test_summarize_identical_samples_have_exactly_zero_std():
-    r = EntanglementReport.from_measures(0.7317, 0.8123)
-    stats = summarize([r] * 200)
-    assert stats["std_c"] == 0.0
-    assert stats["std_tau"] == 0.0
-    assert stats["std_gap"] == 0.0
+    point = summarize(np.repeat(_rows((0.7317, 0.8123)), 200, axis=0), two_s=2, n=1)
+    assert point.std_c == 0.0
+    assert point.std_tau == 0.0
+    assert point.std_gap == 0.0
 
 
 def test_summarize_rejects_empty():
     with pytest.raises(ValueError):
-        summarize([])
+        summarize(np.empty((0, 3)), two_s=2, n=1)
+
+
+def _old_gap_columns(slack: np.ndarray) -> list[str]:
+    """The gap columns as they were computed from a separate array of per-trial gaps."""
+    gap = np.array([-s + 0.0 for s in slack.tolist()])
+    mean_gap, std_gap = sweep_mod._mean_std(gap)
+    mean_abs_gap = float(np.mean(np.abs(gap))) + 0.0
+    return [v.hex() for v in (mean_gap, std_gap, mean_abs_gap, min(slack.tolist()))]
+
+
+def _slack_cases():
+    rng = np.random.default_rng(11)
+    for size in (2, 7, 200, 1001, 20000):
+        yield 10.0 ** rng.uniform(-30, -1, size)
+    yield np.array([0.0123])  # a single trial
+    yield np.full(200, 3.5e-18)  # identical rows
+    yield np.zeros(50)
+
+
+def test_summarize_gap_columns_are_bitwise_the_old_formulas():
+    rng = np.random.default_rng(5)
+    for slack in _slack_cases():
+        rows = np.column_stack([rng.random(slack.size), rng.random(slack.size), slack])
+        point = summarize(rows, two_s=2, n=1)
+        got = [v.hex() for v in (point.mean_gap, point.std_gap, point.mean_abs_gap,
+                                 point.min_monogamy_slack)]
+        assert got == _old_gap_columns(slack)
+    # all-zero slacks give a mean gap of +0.0, never -0.0
+    point = summarize(np.column_stack([np.ones(3), np.ones(3), np.zeros(3)]), two_s=2, n=1)
+    assert point.mean_gap.hex() == "0x0.0p+0"
 
 
 # ---------------------------------------------------------------------------
