@@ -9,6 +9,7 @@ for sweeps (default: all cores); it can never change the output bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import math
@@ -261,24 +262,21 @@ def _utc_now() -> str:
 
 
 def _manifest_text(config: SweepConfig, started: str, finished: str, digests: dict) -> str:
-    lines = [
-        f"tool = spinshield {__version__}",
-        f"two_s_values = {','.join(str(v) for v in config.two_s_values)}",
-        f"n_values = {','.join(str(v) for v in config.n_values)}",
-        f"trials = {config.trials}",
-        f"c1 = {config.c[0]!r}",
-        f"c2 = {config.c[1]!r}",
-        f"c3 = {config.c[2]!r}",
-        f"c4 = {config.c[3]!r}",
-        f"master_seed = {config.master_seed}",
-        f"complex_mode = {'true' if config.complex_mode else 'false'}",
-        f"oracle_crosscheck_max_dim = {config.oracle_crosscheck_max_dim}",
-        f"started = {started}",
-        f"finished = {finished}",
-    ]
-    for name in sorted(digests):
-        lines.append(f"digest.{name} = {digests[name]:016x}")
-    return "\n".join(lines) + "\n"
+    """tool, SweepConfig's fields in declaration order (c as c1..c4), the times, the digests."""
+    record = [("tool", f"spinshield {__version__}")]
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if field.name == "c":
+            record += [(f"c{d}", v) for d, v in enumerate(value, start=1)]
+        elif isinstance(value, tuple):
+            record.append((field.name, ",".join(str(v) for v in value)))
+        elif isinstance(value, bool):
+            record.append((field.name, "true" if value else "false"))
+        else:
+            record.append((field.name, value))
+    record += [("started", started), ("finished", finished)]
+    record += [(f"digest.{name}", f"{digests[name]:016x}") for name in sorted(digests)]
+    return _render_text(record) + "\n"
 
 
 def _write(path: Path, text: str) -> bytes:
@@ -382,12 +380,16 @@ def cmd_verify(args) -> int:
         passed = 0
         for case in range(1, args.cases + 1):
             two_s, x_max, cs = _verify_case(args.seed, family_index, case, args.two_s_max)
-            if check(cs, args.tol):
+            try:
+                ok, reason = check(cs, args.tol), ""
+            except ValueError as exc:  # a validated type refused the draw (LinAlgError too)
+                ok, reason = False, f": {exc}"
+            if ok:
                 passed += 1
             else:
                 print(
                     f"FAIL {family}: case={case} two_s={two_s} x_max={x_max} "
-                    f"seed={args.seed}",
+                    f"seed={args.seed}{reason}",
                     file=sys.stderr,
                 )
         print(f"{family}: {passed}/{args.cases}")

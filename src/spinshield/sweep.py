@@ -19,13 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closedform, oracle
-from .model import (
-    EntanglementReport,
-    SpinDims,
-    _check_unit_norm,
-    sample_coefficients,
-    x_max_schedule,
-)
+from .model import SpinDims, _check_unit_norm, sample_coefficients, x_max_schedule
 
 __all__ = [
     "DEFAULT_TWO_S_GRID",
@@ -224,29 +218,20 @@ def summarize(rows: np.ndarray, two_s: int, n: int) -> SweepPoint:
     )
 
 
-def _crosscheck_trial(cs, report: EntanglementReport, two_s: int, n: int, trial: int) -> None:
-    state = oracle.assemble_state(cs)
-    c_oracle = oracle.wootters_concurrence(oracle.reduce(state, "D"))
-    tau_oracle = oracle.one_tangle(oracle.reduce(state, "Q1"))
-    dc = abs(report.concurrence - c_oracle)
-    dtau = abs(report.one_tangle - tau_oracle)
-    if dc > ORACLE_CROSSCHECK_TOL or dtau > ORACLE_CROSSCHECK_TOL:
-        raise SweepError(
-            two_s, n, trial,
-            f"closed form disagrees with oracle (dC={dc:.3e}, dtau={dtau:.3e})",
-        )
-
-
-def _trial_report(
-    config: SweepConfig, dims: SpinDims, x_max: float, c: np.ndarray, n: int, two_s: int, trial: int
-) -> EntanglementReport:
-    """Report of one trial.  Its draw is freed on return, before the next is made."""
+def _trial_row(
+    config: SweepConfig, dims: SpinDims, x_max: float, c: np.ndarray, two_s: int, trial: int
+) -> tuple[float, float, float]:
+    """(C, tau, slack) of one trial.  Its draw is freed on return, before the next is made."""
     rng = trial_rng(config.master_seed, two_s, trial)
     cs = sample_coefficients(dims, x_max, x_max, c, rng, config.complex_mode)
-    report = closedform.evaluate(cs)
+    r = closedform.evaluate(cs)
     if dims.m_a * dims.m_b <= config.oracle_crosscheck_max_dim:
-        _crosscheck_trial(cs, report, two_s, n, trial)
-    return report
+        state = oracle.assemble_state(cs)
+        dc = abs(r.concurrence - oracle.wootters_concurrence(oracle.reduce(state, "D")))
+        dtau = abs(r.one_tangle - oracle.one_tangle(oracle.reduce(state, "Q1")))
+        if dc > ORACLE_CROSSCHECK_TOL or dtau > ORACLE_CROSSCHECK_TOL:
+            raise ValueError(f"closed form disagrees with oracle (dC={dc:.3e}, dtau={dtau:.3e})")
+    return r.concurrence, r.one_tangle, r.monogamy_slack
 
 
 def _trial_rows(config: SweepConfig, n: int, two_s: int, first: int, stop: int) -> np.ndarray:
@@ -258,12 +243,9 @@ def _trial_rows(config: SweepConfig, n: int, two_s: int, first: int, stop: int) 
     rows = np.empty((stop - first, 3))
     for trial in range(first, stop):
         try:
-            r = _trial_report(config, dims, x_max, c, n, two_s, trial)
-        except SweepError:
-            raise
+            rows[trial - first] = _trial_row(config, dims, x_max, c, two_s, trial)
         except Exception as exc:
             raise SweepError(two_s, n, trial, str(exc)) from exc
-        rows[trial - first] = r.concurrence, r.one_tangle, r.monogamy_slack
     return rows
 
 

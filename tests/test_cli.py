@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from spinshield import cli
 from spinshield.cli import CSV_HEADER, fnv1a64, main
+from spinshield.sweep import SweepConfig
 
 
 def run_cli(args):
@@ -91,6 +93,35 @@ def test_sweep_manifest_matches_outputs(tmp_path):
     for name in ("sweep.csv", "plot.gp"):
         digest = int(manifest[f"digest.{name}"], 16)
         assert digest == fnv1a64((out / name).read_bytes())
+
+    # a run that sets every field away from its default
+    out = tmp_path / "all"
+    assert run_cli(["sweep", "--two-s", "2,4", "--n", "2", "--trials", "3", "--seed", "9",
+                    "--c3", "0.6", "--c4", "0.8j", "--complex",
+                    "--oracle-crosscheck-max-dim", "0", "--out", str(out)]) == 0
+    expected = SweepConfig(two_s_values=(2, 4), n_values=(2,), trials=3, c=(0j, 0j, 0.6, 0.8j),
+                           master_seed=9, complex_mode=True, oracle_crosscheck_max_dim=0)
+    names = [f.name for f in dataclasses.fields(SweepConfig)]
+    assert all(getattr(expected, name) != getattr(SweepConfig(), name) for name in names)
+    lines = [line.split(" = ", 1) for line in (out / "manifest.txt").read_text().splitlines()]
+    keys = [key for key, _ in lines]
+    assert keys[0] == "tool"
+    # the lines between tool and started are the fields in declaration order, c as c1..c4
+    fields = dict(lines[1:keys.index("started")])
+    at = names.index("c")
+    assert list(fields) == names[:at] + ["c1", "c2", "c3", "c4"] + names[at + 1:]
+    parsed = {}
+    for name in names:
+        default = getattr(SweepConfig(), name)
+        if name == "c":
+            parsed[name] = tuple(complex(fields[f"c{d}"]) for d in range(1, 5))
+        elif isinstance(default, tuple):
+            parsed[name] = tuple(int(v) for v in fields[name].split(","))
+        elif isinstance(default, bool):
+            parsed[name] = {"true": True, "false": False}[fields[name]]
+        else:
+            parsed[name] = int(fields[name])
+    assert SweepConfig(**parsed) == expected
 
 
 def test_sweep_plot_script_references_csv(tmp_path):
@@ -320,6 +351,22 @@ def test_verify_forced_failure_prints_fail_and_exits_1(capsys, monkeypatch, fami
     assert f"FAIL {family}: case=1 two_s=1" in captured.err
     assert f"FAIL {family}: case=2 two_s=2" in captured.err
     assert f"{family}: 0/2" in captured.out
+
+
+def test_verify_check_that_raises_fails_its_case_and_the_others_run(capsys, monkeypatch):
+    # a negative slack makes EntanglementReport refuse the draw with a ValueError
+    measures = cli.closedform._measures
+    monkeypatch.setattr(cli.closedform, "_measures", lambda cs: (*measures(cs)[:2], -1e-3))
+    assert run_cli(["verify", "--cases", "2", "--two-s-max", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "monogamy: 0/2", "oracle-concurrence: 2/2", "oracle-tangle: 2/2",
+        "symmetry: 2/2", "separability: 2/2", "quadratic-gap: 0/2",
+    ]
+    assert ("FAIL monogamy: case=1 two_s=1 x_max=0.5 seed=0: "
+            "monogamy violated: slack = -0.001") in captured.err.splitlines()
+    assert "FAIL monogamy: case=2 two_s=2" in captured.err
+    assert "error:" not in captured.err
 
 
 def test_verify_two_s_max_gate():

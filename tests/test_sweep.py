@@ -168,6 +168,9 @@ def test_run_sweep_oracle_crosscheck_abort_names_the_trial(monkeypatch):
         run_sweep(config, workers=1)
     assert (err.value.two_s, err.value.n, err.value.trial) == (2, 1, 1)
     assert "two_s=2" in str(err.value) and "trial=1" in str(err.value)
+    # the crosscheck raises a plain ValueError, which the one wrap in _trial_rows names
+    assert "closed form disagrees with oracle" in str(err.value)
+    assert type(err.value.__cause__) is ValueError
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
