@@ -1,7 +1,8 @@
 """Golden outputs of the CLI: `single`, `sweep` and `verify`, pinned byte for byte.
 
 The files under ``tests/golden/`` are the exact outputs of the commands in
-``CASES`` and ``SWEEP_ARGS``.  Two things are not compared as bytes:
+``CASES`` and ``SWEEPS``.  The complex-mode sweep, with ``|c3| != |c4|``,
+pins the complex draw (moduli, then phase factors) and unequal weights.  Two things are not compared as bytes:
 
 - the dense-oracle values of ``single`` (``C_oracle``, ``tau_oracle_*`` and
   the ``rho_*`` matrices) come from BLAS and LAPACK, which may round
@@ -33,7 +34,14 @@ CASES = {
     "verify_two_s_max4_cases6.txt": ["verify", "--two-s-max", "4", "--cases", "6"],
 }
 
-SWEEP_ARGS = ["sweep", "--two-s", "2,10", "--n", "1,3", "--trials", "5"]
+# output directory under golden/ -> sweep arguments
+SWEEPS = {
+    "sweep": ["sweep", "--two-s", "2,10", "--n", "1,3", "--trials", "5"],
+    "sweep_complex": [
+        "sweep", "--two-s", "2,10,100", "--n", "1,2,3", "--trials", "5",
+        "--complex", "--c3", "0.6", "--c4", "0.8j", "--seed", "9",
+    ],
+}
 SWEEP_FILES = ("sweep.csv", "plot.gp", "manifest.txt")
 _TIMESTAMP = re.compile(r"^(started|finished) = .*$", re.MULTILINE)
 
@@ -98,15 +106,23 @@ def test_golden_stdout(name, capsys):
         _assert_text_matches(got, want)
 
 
-def test_golden_sweep_files(tmp_path, monkeypatch):
+def _assert_sweep_matches(golden_dir, tmp_path, monkeypatch):
     monkeypatch.setenv(cli.WORKERS_ENV, "1")
     out = tmp_path / "r"
-    assert cli.main([*SWEEP_ARGS, "--out", str(out)]) == 0
+    assert cli.main([*SWEEPS[golden_dir], "--out", str(out)]) == 0
     for name in SWEEP_FILES:
         got = (out / name).read_text()
         if name == "manifest.txt":
             got = _mask_timestamps(got)
-        assert got == (GOLDEN / "sweep" / name).read_text(), name
+        assert got == (GOLDEN / golden_dir / name).read_text(), name
+
+
+def test_golden_sweep_files(tmp_path, monkeypatch):
+    _assert_sweep_matches("sweep", tmp_path, monkeypatch)
+
+
+def test_golden_complex_sweep_files(tmp_path, monkeypatch):
+    _assert_sweep_matches("sweep_complex", tmp_path, monkeypatch)
 
 
 def _regenerate():
@@ -120,14 +136,15 @@ def _regenerate():
         with contextlib.redirect_stdout(buf):
             assert cli.main(argv) == 0
         (GOLDEN / name).write_text(buf.getvalue())
-    with tempfile.TemporaryDirectory() as tmp:
-        assert cli.main([*SWEEP_ARGS, "--out", tmp]) == 0
-        (GOLDEN / "sweep").mkdir(exist_ok=True)
-        for name in SWEEP_FILES:
-            text = (Path(tmp) / name).read_text()
-            if name == "manifest.txt":
-                text = _mask_timestamps(text)
-            (GOLDEN / "sweep" / name).write_text(text)
+    for golden_dir, argv in SWEEPS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            assert cli.main([*argv, "--out", tmp]) == 0
+            (GOLDEN / golden_dir).mkdir(exist_ok=True)
+            for name in SWEEP_FILES:
+                text = (Path(tmp) / name).read_text()
+                if name == "manifest.txt":
+                    text = _mask_timestamps(text)
+                (GOLDEN / golden_dir / name).write_text(text)
 
 
 if __name__ == "__main__":
