@@ -6,6 +6,10 @@ the apparatus indices.  The Cauchy-Schwarz inequality between those sums is
 exactly what makes concurrence**2 <= one_tangle hold, so the two measures
 coincide at first order in the perturbations and the gap between them decays
 quadratically.
+
+One kernel on plain arrays serves a single draw and the sweep's stacks of
+draws alike: ``_side_sums`` reduces each side's rows along the last axis,
+and ``_from_sums`` forms the measures from the sums.
 """
 
 from __future__ import annotations
@@ -48,11 +52,11 @@ class BranchSums:
     GY: float
 
     def __post_init__(self):
-        for pair, a, b, prod, gram in (
-            ("X", self.X3, self.X4, self.X34, self.GX),
-            ("Y", self.Y3, self.Y4, self.Y34, self.GY),
+        for pair, sums in (
+            ("X", (self.X3, self.X4, self.X34, self.GX)),
+            ("Y", (self.Y3, self.Y4, self.Y34, self.GY)),
         ):
-            if (prod.real**2 + prod.imag**2) > a * b * (1.0 + 1e-12) + 1e-300 or not gram >= 0.0:
+            if _inconsistent(*sums):
                 raise ValueError(
                     f"{pair} sums are inconsistent: |{pair}34|^2 must not exceed "
                     f"{pair}3*{pair}4 and G{pair} must be nonnegative"
@@ -64,11 +68,52 @@ def _require_two_level(cs: CoefficientSet) -> None:
         raise DeviceModeError("operation requires the two-level device mode (c1 = c2 = 0)")
 
 
-def _side_sums(block: np.ndarray) -> tuple[float, float, complex, float]:
-    """(S3, S4, S34, G) of one apparatus side from its 2 x m rows (x3, x4).
+def _modulus(z) -> tuple:
+    """|z| and |z|**2 of complex entries, as Python's complex abs and float pow round them.
 
-    Every sum is taken over the perturbations alone, never over 1 + x, so
-    the O(m) part is the exact integer m:
+    numpy's complex abs and its power ufunc have SIMD loops that round
+    differently in the last bit, and the sweep's outputs are pinned bit for
+    bit; a draw has only one S34 per side, so the loop is short.  A scalar
+    gives two floats.
+    """
+    if not isinstance(z, np.ndarray) or not z.ndim:
+        z = complex(z)
+        return abs(z), z.real**2 + z.imag**2
+    pairs = np.array([(abs(v), v.real**2 + v.imag**2) for v in z.ravel().tolist()])
+    return pairs.T.reshape((2, *z.shape))
+
+
+def _inconsistent(s3, s4, s34, g):
+    """True where |S34|**2 exceeds S3 S4 beyond rounding, or where G is negative or NaN."""
+    # g != g holds only for a NaN, and costs no numpy call on a float
+    return (_modulus(s34)[1] > s3 * s4 * (1.0 + 1e-12) + 1e-300) | (g < 0.0) | (g != g)
+
+
+def _complex(re, im):
+    """re + i im with both parts kept bit for bit: a complex array, or a complex for floats."""
+    if not isinstance(re, np.ndarray):
+        return complex(re, im)
+    z = np.empty(re.shape, np.complex128)
+    z.real, z.imag = re, im
+    return z
+
+
+def _quotient(num, den):
+    """num / den where den > 0, and 0.0 elsewhere: entrywise on arrays, or on floats."""
+    if not isinstance(den, np.ndarray):
+        return num / den if den > 0.0 else 0.0
+    return np.divide(num, den, out=np.zeros(den.shape), where=den > 0.0)
+
+
+def _side_sums(block: np.ndarray) -> tuple:
+    """(S3, S4, S34, G) of one apparatus side from its rows (x3, x4), along the last axis.
+
+    ``block`` is a float64 (real rows) or complex128 array of shape
+    (..., 2, m) whose last axis is contiguous for complex rows.  A stack of
+    draws gives arrays of the leading shape (...), each row reduced on its
+    own; one draw, a (2, m) block, gives floats and a complex.  Every sum is
+    taken over the perturbations alone, never over 1 + x, so the O(m) part
+    is the exact integer m:
 
         S3  = m + 2 Re sum x3 + sum |x3|^2,
         S34 = m + sum x3 + sum conj(x4) + sum x3 conj(x4).
@@ -78,66 +123,121 @@ def _side_sums(block: np.ndarray) -> tuple[float, float, complex, float]:
     determinant S3 S4 - |S34|^2 equals S3 ||d - k u||^2 with u = 1 + x3,
     d = x4 - x3 and k = <u, d> / S3 (Lagrange's identity); the residual
     d - k u is orthogonal to u, so ||d - k u||^2 is stationary in k and the
-    cheap, slightly cancelling k below is accurate enough.  Rows without
-    imaginary parts are handled as real vectors.  Plain ufunc reductions
-    only: no BLAS call, whose thread pool would compete with the sweep's
-    worker processes.
+    cheap, slightly cancelling k below is accurate enough.  Plain ufunc
+    reductions only: no BLAS call, whose thread pool would compete with the
+    sweep's worker processes.
     """
-    m = block.shape[1]
-    if block.imag.any():
-        rows, flat = block, block.view(np.float64)  # flat: the rows as real vectors
-        re, im = block.real, block.imag
-        w = float(np.add.reduce(im[0] * re[1] - re[0] * im[1]))
+    m = block.shape[-1]
+    x3, x4 = block[..., 0, :], block[..., 1, :]
+    is_complex = block.dtype.kind == "c"
+    flat3, flat4 = (x3.view(np.float64), x4.view(np.float64)) if is_complex else (x3, x4)
+    # every sum keeps its reduced axis, so that it broadcasts against the rows
+    a = np.add.reduce(block, axis=-1, keepdims=True)
+    q3 = np.add.reduce(np.square(flat3), axis=-1, keepdims=True)  # one row's temporary at a time
+    q4 = np.add.reduce(np.square(flat4), axis=-1, keepdims=True)
+    p = np.add.reduce(flat3 * flat4, axis=-1, keepdims=True)
+    w = 0.0
+    if is_complex:
+        cross = x3.imag * x4.real  # for Im sum x3 conj(x4); freed before the residual is built
+        cross -= x3.real * x4.imag
+        w = np.add.reduce(cross, axis=-1, keepdims=True)
+        del cross
+    if block.ndim == 2:  # one draw: the arithmetic below runs on Python scalars
+        (a3, a4), q3, q4, p = a.ravel().tolist(), q3.item(), q4.item(), p.item()
+        w = w.item() if is_complex else w
     else:
-        rows = flat = block.real
-        w = 0.0
-    a3, a4 = np.add.reduce(rows, axis=1).tolist()  # complex, or float for real rows
-    q3, q4 = (float(np.add.reduce(np.square(row))) for row in flat)  # one row's temporary at a time
-    p = float(np.add.reduce(flat[0] * flat[1]))
+        a3, a4 = a[..., 0, :], a[..., 1, :]
     s3 = m + (2.0 * a3.real + q3)
     s4 = m + (2.0 * a4.real + q4)
-    s34 = complex(m + (a3.real + a4.real) + p, (a3.imag - a4.imag) + w)
-    # <u, d> = sum conj(1 + x3) (x4 - x3) = sum x4 - sum x3 + conj(sum x3 conj(x4)) - sum |x3|^2
-    ud = (a4 - a3) + (p - q3)
-    if w:
-        ud -= 1j * w
-    k = ud / s3 if s3 > 0.0 else 0.0
+    s34 = _complex(m + (a3.real + a4.real) + p, (a3.imag - a4.imag) + w)
+    # <u, d> = sum conj(1 + x3) (x4 - x3) = sum x4 - sum x3 + conj(sum x3 conj(x4)) - sum |x3|^2,
+    # divided part by part, as Python divides a complex by a float
+    k = _quotient((a4.real - a3.real) + (p - q3), s3)
+    if is_complex:
+        k = _complex(k, _quotient(((a4.imag - a3.imag) + 0.0) - w, s3))
     # residual d - k u = x4 - (1 + k) x3 - k, built in one temporary
-    r = (1.0 + k) * rows[0]
-    np.subtract(rows[1], r, out=r)
+    r = (1.0 + k) * x3
+    np.subtract(x4, r, out=r)
     r -= k
-    if rows is block:
+    if is_complex:
         r = r.view(np.float64)
-    return s3, s4, s34, s3 * float(np.add.reduce(np.square(r, out=r)))
+    g = s3 * np.add.reduce(np.square(r, out=r), axis=-1, keepdims=True)
+    if block.ndim == 2:
+        return s3, s4, s34, g.item()
+    return s3[..., 0], s4[..., 0], s34[..., 0], g[..., 0]
+
+
+def _from_sums(x_sums, y_sums, w3: float, w4: float) -> tuple:
+    """(concurrence, one-tangle, monogamy slack) from the branch sums of each side.
+
+    The sums are those of :func:`_side_sums`, of one draw or of a stack;
+    w3 = |c3| and w4 = |c4|.  The slack
+    tau - C**2 = 4 |c3 c4|^2 (X3 X4 Y3 Y4 - |X34 Y34|^2) / N^4 is expanded
+    through X3 X4 = GX + |X34|^2 into a sum of nonnegative terms, so it is
+    nonnegative by construction and free of cancellation.
+    """
+    X3, X4, X34, GX = x_sums
+    Y3, Y4, Y34, GY = y_sums
+    n_sq = w3 * w3 * X3 * Y3 + w4 * w4 * X4 * Y4
+    w = w3 * w4
+    x34_abs, x34_sq = _modulus(X34)
+    y34_abs, y34_sq = _modulus(Y34)
+    # max(0, C): the product of moduli is never below +0.0, so only a NaN
+    # becomes 0.0, as Python's max(0.0, nan) makes it
+    c = _clamp_unit(np.fmax(2.0 * w * x34_abs * y34_abs / n_sq, 0.0))
+    # grouping (X3*X4)*(Y3*Y4) keeps the value exactly invariant under the
+    # 3 <-> 4 row swap
+    tau = _clamp_unit(4.0 * w * w * ((X3 * X4) * (Y3 * Y4)) / (n_sq * n_sq))
+    gram = GX * GY + GX * y34_sq + GY * x34_sq
+    return c, tau, 4.0 * w * w * gram / (n_sq * n_sq)
+
+
+def _first_failure(x_sums, y_sums, c, tau, slack) -> tuple[int, ValueError] | None:
+    """The first draw of a stack that fails a check, with the error its checks raise.
+
+    A draw fails where its sums are inconsistent (:class:`BranchSums`) or
+    its measures leave [0, 1] or give a negative or NaN slack
+    (:class:`EntanglementReport`); None when every draw passes.
+    """
+    bad = (
+        _inconsistent(*x_sums) | _inconsistent(*y_sums)
+        | ~((0.0 <= c) & (c <= 1.0)) | ~((0.0 <= tau) & (tau <= 1.0)) | ~(slack >= 0.0)
+    )
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    X3, X4, X34, GX = (v[i].item() for v in x_sums)
+    Y3, Y4, Y34, GY = (v[i].item() for v in y_sums)
+    try:
+        BranchSums(X3=X3, X4=X4, Y3=Y3, Y4=Y4, X34=X34, Y34=Y34, GX=GX, GY=GY)
+        EntanglementReport(c[i].item(), tau[i].item(), slack[i].item())
+    except ValueError as exc:
+        return i, exc
+    raise AssertionError(f"draw {i} fails the array checks but passes the scalar ones")
+
+
+def _rows_of(matrix: np.ndarray) -> np.ndarray:
+    """Rows d = 3, 4 of a perturbation matrix, as real vectors when they have no imaginary part."""
+    block = matrix[2:4]
+    return block if block.imag.any() else block.real
 
 
 def branch_sums(cs: CoefficientSet) -> BranchSums:
     """Accumulate the six apparatus sums of a two-level coefficient set."""
     _require_two_level(cs)
-    X3, X4, X34, GX = _side_sums(cs.x[2:4])
-    Y3, Y4, Y34, GY = _side_sums(cs.y[2:4])
+    X3, X4, X34, GX = _side_sums(_rows_of(cs.x))
+    Y3, Y4, Y34, GY = _side_sums(_rows_of(cs.y))
     return BranchSums(X3=X3, X4=X4, Y3=Y3, Y4=Y4, X34=X34, Y34=Y34, GX=GX, GY=GY)
 
 
 def _measures(cs: CoefficientSet) -> tuple[float, float, float]:
-    """(concurrence, one-tangle, monogamy slack) from one pass over the sums.
-
-    The slack tau - C**2 = 4 |c3 c4|^2 (X3 X4 Y3 Y4 - |X34 Y34|^2) / N^4 is
-    expanded through X3 X4 = GX + |X34|^2 into a sum of nonnegative terms,
-    so it is nonnegative by construction and free of cancellation.
-    """
+    """(concurrence, one-tangle, monogamy slack) of one draw, from one pass over the sums."""
     bs = branch_sums(cs)
-    w3, w4 = (abs(c) for c in cs.c[2:].tolist())
-    n_sq = w3 * w3 * bs.X3 * bs.Y3 + w4 * w4 * bs.X4 * bs.Y4
-    w = w3 * w4
-    x34_sq = bs.X34.real**2 + bs.X34.imag**2
-    y34_sq = bs.Y34.real**2 + bs.Y34.imag**2
-    c = _clamp_unit(max(0.0, 2.0 * w * abs(bs.X34) * abs(bs.Y34) / n_sq))
-    # grouping (X3*X4)*(Y3*Y4) keeps the value exactly invariant under the
-    # 3 <-> 4 row swap
-    tau = _clamp_unit(4.0 * w * w * ((bs.X3 * bs.X4) * (bs.Y3 * bs.Y4)) / (n_sq * n_sq))
-    gram = bs.GX * bs.GY + bs.GX * y34_sq + bs.GY * x34_sq
-    return c, tau, 4.0 * w * w * gram / (n_sq * n_sq)
+    c, tau, slack = _from_sums(
+        (bs.X3, bs.X4, bs.X34, bs.GX), (bs.Y3, bs.Y4, bs.Y34, bs.GY),
+        *(abs(c) for c in cs.c[2:].tolist()),
+    )
+    return c, tau, slack
 
 
 def concurrence_closed(cs: CoefficientSet) -> float:

@@ -51,14 +51,18 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real**2 + z.imag**2
 
 
-def _clamp_unit(v: float) -> float:
+def _clamp_unit(v):
     # Rounding can overshoot the unit interval by a few ulp; values further
     # out than the clamp window are genuine errors and are left alone.
+    # Entrywise on an array of draws; a scalar comes back as a float.
+    if isinstance(v, np.ndarray) and v.ndim:
+        v = np.where((1.0 < v) & (v <= 1.0 + _UNIT_CLAMP), 1.0, v)
+        return np.where((-_UNIT_CLAMP <= v) & (v < 0.0), 0.0, v)
     if 1.0 < v <= 1.0 + _UNIT_CLAMP:
         return 1.0
     if -_UNIT_CLAMP <= v < 0.0:
         return 0.0
-    return v
+    return float(v)
 
 
 def _frozen_array(values, shape) -> np.ndarray:

@@ -8,7 +8,8 @@ for trial t at gridpoint two_s is seeded by splitmix64-mixing the tuple
 produces bitwise-identical results no matter how many workers run it.  The
 trial streams are shared across the exponents n on purpose: every n sees the
 same underlying draws scaled by its own bound, which makes the comparison
-between schedules exact rather than statistical.
+between schedules exact rather than statistical.  The engine reads each
+stream once, into buffers that a task reuses, and evaluates every n from it.
 """
 
 from __future__ import annotations
@@ -85,18 +86,41 @@ class SweepError(RuntimeError):
 
 
 class MemoryBudgetError(ValueError):
-    """A run whose draws, one per worker process, would not fit in physical memory."""
+    """A run whose batches of draws, one per worker process, would not fit in physical memory."""
+
+
+# A task's batch of trials holds at most this many bytes, unless a single
+# trial needs more: at two_s = 100000 one trial needs 16.0 MB, so a batch
+# there is one trial.
+_BATCH_BYTES = 1 << 22
+
+
+def _draw_bytes(dims: SpinDims) -> int:
+    """Bytes one trial holds at once: 64 (m_a + m_b) + 32 max(m_a, m_b).
+
+    At m_a = m_b = m the engine holds the draw as float64 moduli and
+    complex128 phase factors of four rows (96 m; real mode keeps only the
+    moduli), one side's two complex128 perturbation rows for one n (32 m),
+    and scratch and temporaries of at most two complex128 rows (32 m).  A
+    single draw as a CoefficientSet, as the crosscheck and ``single`` make
+    it, is two 4 x m complex128 matrices plus two rows of temporaries.
+    """
+    return 64 * (dims.m_a + dims.m_b) + 32 * max(dims.m_a, dims.m_b)
+
+
+def _batch_trials(dims: SpinDims) -> int:
+    """Trials a task draws and evaluates at once: as many as fit _BATCH_BYTES, at least one."""
+    return max(1, _BATCH_BYTES // _draw_bytes(dims))
 
 
 def trial_peak_bytes(dims: SpinDims) -> int:
-    """Upper bound on the bytes one trial holds at once: its draw plus two rows.
+    """Upper bound on the bytes a sweep worker holds at once: one batch of trials at ``dims``.
 
-    The draw is two 4 x m complex128 matrices, 64 (m_a + m_b) bytes.  Drawing
-    and evaluating it allocate temporaries of at most two complex128 rows
-    (32 max(m_a, m_b) bytes) next to it, and a trial's draw is freed before
-    the next trial draws.
+    That is the batch's trials times one trial's bytes (see _draw_bytes),
+    within _BATCH_BYTES or, where one trial needs more, one trial's bytes.
+    A batch's buffers are freed when its task ends.
     """
-    return 64 * (dims.m_a + dims.m_b) + 32 * max(dims.m_a, dims.m_b)
+    return _batch_trials(dims) * _draw_bytes(dims)
 
 
 def _physical_memory_bytes() -> int | None:
@@ -109,20 +133,25 @@ def _physical_memory_bytes() -> int | None:
 
 
 def check_memory_budget(dims: SpinDims, processes: int = 1) -> None:
-    """Raise MemoryBudgetError if ``processes`` trials at ``dims`` cannot fit in memory at once."""
-    per_trial = trial_peak_bytes(dims)
+    """Raise MemoryBudgetError if ``processes`` workers' batches at ``dims`` cannot fit in memory at once."""
+    per_worker = trial_peak_bytes(dims)
     physical = _physical_memory_bytes()
-    if physical is not None and per_trial * processes > physical:
+    if physical is not None and per_worker * processes > physical:
         from decimal import Decimal  # exact for any int, where a float would overflow
 
         def gb(n: int) -> str:
             return f"{Decimal(n) / 10**9:.3g}"
 
         raise MemoryBudgetError(
-            f"a draw at m_a = {dims.m_a}, m_b = {dims.m_b} needs up to {gb(per_trial)} GB "
-            f"per worker process, {gb(per_trial * processes)} GB for {processes}, "
+            f"a draw at m_a = {dims.m_a}, m_b = {dims.m_b} needs up to {gb(per_worker)} GB "
+            f"per worker process, {gb(per_worker * processes)} GB for {processes}, "
             f"more than the {gb(physical)} GB of physical memory"
         )
+
+
+def _is_integer(v) -> bool:
+    """An int or numpy integer, and not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -138,6 +167,10 @@ class SweepConfig:
     oracle_crosscheck_max_dim: int = 64
 
     def __post_init__(self):
+        for name in ("two_s_values", "n_values", "trials", "master_seed"):
+            value = getattr(self, name)
+            if not all(map(_is_integer, value if name.endswith("_values") else (value,))):
+                raise ValueError(f"{name} must hold integers, got {value!r}")
         if not self.two_s_values:
             raise ValueError("two_s_values must be nonempty")
         if any(v < 1 for v in self.two_s_values):
@@ -163,6 +196,8 @@ class SweepConfig:
                 "the dense oracle's gate on m_a*m_b"
             )
         object.__setattr__(self, "two_s_values", tuple(int(v) for v in self.two_s_values))
+        object.__setattr__(self, "trials", int(self.trials))
+        object.__setattr__(self, "master_seed", int(self.master_seed))
         object.__setattr__(self, "n_values", tuple(sorted(set(int(v) for v in self.n_values))))
         object.__setattr__(self, "c", c)
 
@@ -218,42 +253,124 @@ def summarize(rows: np.ndarray, two_s: int, n: int) -> SweepPoint:
     )
 
 
-def _trial_row(
-    config: SweepConfig, dims: SpinDims, x_max: float, c: np.ndarray, two_s: int, trial: int
-) -> tuple[float, float, float]:
-    """(C, tau, slack) of one trial.  Its draw is freed on return, before the next is made."""
+class _Draws:
+    """Buffers for a batch of trials' draws at one two_s, reused by each batch of a task.
+
+    A trial's stream is read in the order of sample_coefficients: rows x3,
+    x4, y3, y4, and in complex mode each row's moduli and then its phases.
+    The uniforms u become 1 - u in place, and the phases their factors
+    exp(2 pi i u), once for every n; ``side`` scales them by an n's bound.
+    """
+
+    def __init__(self, m: int, size: int, complex_mode: bool):
+        self.complex_mode = complex_mode
+        self.size = 0
+        self.mod = np.empty((size, 4, m))
+        if complex_mode:
+            self.phase = np.empty((size, 4, m), np.complex128)
+            self.work = np.empty((size, m))  # a row's phase uniforms, then an n's moduli
+        self.rows = np.empty((size, 2, m), np.complex128 if complex_mode else np.float64)
+
+    def draw(self, t: int, rng: np.random.Generator) -> None:
+        """Read the batch's trial t from its stream."""
+        if not self.complex_mode:
+            rng.random(out=self.mod[t])
+            return
+        u = self.work[0]
+        for row in range(4):
+            rng.random(out=self.mod[t, row])
+            rng.random(out=u)
+            np.multiply(2j * np.pi, u, out=self.phase[t, row])
+
+    def finish(self, size: int) -> np.ndarray:
+        """Form 1 - u and the phase factors of the first ``size`` trials; True where a draw is finite."""
+        self.size = size
+        mod = self.mod[:size]
+        np.subtract(1.0, mod, out=mod)
+        finite = np.isfinite(mod).all(axis=(1, 2))
+        if self.complex_mode:
+            phase = self.phase[:size]
+            np.exp(phase, out=phase)
+            finite &= np.isfinite(phase).all(axis=(1, 2))
+        return finite
+
+    def side(self, side: int, bound: float) -> np.ndarray:
+        """The (size, 2, m) perturbation rows of side 0 (x) or 1 (y): bound * (1 - u), times the phase factor."""
+        rows = self.rows[:self.size]
+        mod = self.mod[:self.size, 2 * side:2 * side + 2]
+        if not self.complex_mode:
+            return np.multiply(mod, bound, out=rows)
+        work = self.work[:self.size]
+        for r in range(2):
+            np.multiply(mod[:, r], bound, out=work)
+            np.multiply(self.phase[:self.size, 2 * side + r], work, out=rows[:, r])
+        return rows
+
+
+def _crosscheck(
+    config: SweepConfig, dims: SpinDims, x_max: float, c: np.ndarray, two_s: int, trial: int,
+    measured: np.ndarray,
+) -> None:
+    """Raise ValueError unless the dense oracle, on the trial's own draw, agrees with (C, tau)."""
     rng = trial_rng(config.master_seed, two_s, trial)
     cs = sample_coefficients(dims, x_max, x_max, c, rng, config.complex_mode)
-    r = closedform.evaluate(cs)
-    if dims.m_a * dims.m_b <= config.oracle_crosscheck_max_dim:
-        state = oracle.assemble_state(cs)
-        dc = abs(r.concurrence - oracle.wootters_concurrence(oracle.reduce(state, "D")))
-        dtau = abs(r.one_tangle - oracle.one_tangle(oracle.reduce(state, "Q1")))
-        if dc > ORACLE_CROSSCHECK_TOL or dtau > ORACLE_CROSSCHECK_TOL:
-            raise ValueError(f"closed form disagrees with oracle (dC={dc:.3e}, dtau={dtau:.3e})")
-    return r.concurrence, r.one_tangle, r.monogamy_slack
+    state = oracle.assemble_state(cs)
+    dc = abs(measured[0] - oracle.wootters_concurrence(oracle.reduce(state, "D")))
+    dtau = abs(measured[1] - oracle.one_tangle(oracle.reduce(state, "Q1")))
+    if dc > ORACLE_CROSSCHECK_TOL or dtau > ORACLE_CROSSCHECK_TOL:
+        raise ValueError(f"closed form disagrees with oracle (dC={dc:.3e}, dtau={dtau:.3e})")
 
 
-def _trial_rows(config: SweepConfig, n: int, two_s: int, first: int, stop: int) -> np.ndarray:
-    """(C, tau, slack) rows of trials first .. stop - 1 at one gridpoint, in trial order."""
-    x_max = x_max_schedule(two_s, n)
+def _task_rows(config: SweepConfig, two_s: int, first: int, stop: int) -> np.ndarray:
+    """(C, tau, slack) rows of trials first .. stop - 1 at two_s for every n: shape (n, trials, 3).
+
+    Each trial's stream is read once and serves every n.  A failure names
+    its trial and n; a failure in the shared draw names the config's first n.
+    """
     dims = SpinDims(two_s)
+    bounds = [x_max_schedule(two_s, n) for n in config.n_values]
+    w3, w4 = (abs(v) for v in config.c[2:])
+    crosscheck = dims.m_a * dims.m_b <= config.oracle_crosscheck_max_dim
     c = np.array(config.c)
-    c.setflags(write=False)  # every draw adopts this array instead of copying the tuple
-    rows = np.empty((stop - first, 3))
-    for trial in range(first, stop):
-        try:
-            rows[trial - first] = _trial_row(config, dims, x_max, c, two_s, trial)
-        except Exception as exc:
-            raise SweepError(two_s, n, trial, str(exc)) from exc
-    return rows
+    c.setflags(write=False)  # every crosscheck draw adopts this array instead of copying the tuple
+    out = np.empty((len(bounds), stop - first, 3))
+    batch = min(_batch_trials(dims), stop - first)
+    draws = _Draws(dims.m_a, batch, config.complex_mode)
+    for lo in range(first, stop, batch):
+        hi = min(lo + batch, stop)
+        for trial in range(lo, hi):
+            try:
+                draws.draw(trial - lo, trial_rng(config.master_seed, two_s, trial))
+            except Exception as exc:
+                raise SweepError(two_s, config.n_values[0], trial, str(exc)) from exc
+        finite = draws.finish(hi - lo)
+        if not finite.all():
+            trial = lo + int(np.argmin(finite))
+            raise SweepError(two_s, config.n_values[0], trial, "array entries must be finite")
+        for j, (n, bound) in enumerate(zip(config.n_values, bounds)):
+            x_sums = closedform._side_sums(draws.side(0, bound))
+            y_sums = closedform._side_sums(draws.side(1, bound))
+            measures = closedform._from_sums(x_sums, y_sums, w3, w4)
+            failure = closedform._first_failure(x_sums, y_sums, *measures)
+            if failure is not None:
+                i, exc = failure
+                raise SweepError(two_s, n, lo + i, str(exc)) from exc
+            rows = out[j, lo - first:hi - first]
+            rows[...] = np.stack(measures, axis=-1)
+            if not crosscheck:
+                continue
+            for trial in range(lo, hi):
+                try:
+                    _crosscheck(config, dims, bound, c, two_s, trial, rows[trial - lo])
+                except Exception as exc:
+                    raise SweepError(two_s, n, trial, str(exc)) from exc
+    return out
 
 
 def _chunks(config: SweepConfig, workers: int) -> int:
-    """Contiguous trial chunks per gridpoint: at least 2 tasks per worker, 1 chunk
-    per point once there are that many points."""
-    points = len(config.n_values) * len(config.two_s_values)
-    return min(config.trials, -(-2 * workers // points))
+    """Contiguous trial chunks per two_s: at least 2 tasks per worker, 1 chunk
+    per two_s once there are that many two_s values."""
+    return min(config.trials, -(-2 * workers // len(config.two_s_values)))
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -267,7 +384,7 @@ def _resolve_workers(workers: int | None) -> int:
 def worker_processes(config: SweepConfig, workers: int | None = None) -> int:
     """Processes that hold draws during ``run_sweep(config, workers)``; 1 when it runs serially."""
     workers = _resolve_workers(workers)
-    tasks = len(config.n_values) * len(config.two_s_values) * _chunks(config, workers)
+    tasks = len(config.two_s_values) * _chunks(config, workers)
     return min(workers, tasks)
 
 
@@ -275,32 +392,34 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> list[SweepPoin
     """Evaluate every (n, two_s) gridpoint; n-major, two_s-minor output order.
 
     ``workers`` bounds the number of worker processes (default: all cores).
-    With fewer gridpoints than twice the workers, each point's trials are
-    split into contiguous chunks that run as separate tasks, so a single
+    A task is one two_s and a contiguous chunk of its trials, evaluated for
+    every n.  With fewer two_s values than twice the workers, each two_s's
+    trials are split into chunks that run as separate tasks, so a single
     large point still uses every core.  The worker count cannot change the
     results: every trial owns a stream derived only from (master_seed,
     two_s, trial), and each point is aggregated from its rows in trial
     order.  Any failed trial aborts the sweep with a SweepError naming its
     coordinates; trials are never silently skipped.  A sweep whose largest
-    draw, once per worker process, exceeds physical memory raises
+    batch of draws, once per worker process, exceeds physical memory raises
     MemoryBudgetError before any trial runs.
     """
     workers = _resolve_workers(workers)
     processes = worker_processes(config, workers)
     check_memory_budget(SpinDims(config.two_s_values[-1]), processes)
-    points = [(n, two_s) for n in config.n_values for two_s in config.two_s_values]
     chunks = _chunks(config, workers)
     bounds = [1 + config.trials * i // chunks for i in range(chunks + 1)]
-    tasks = [(config, n, two_s, lo, hi) for n, two_s in points for lo, hi in zip(bounds, bounds[1:])]
+    tasks = [(config, two_s, lo, hi) for two_s in config.two_s_values for lo, hi in zip(bounds, bounds[1:])]
     if processes == 1:
-        results = [_trial_rows(*t) for t in tasks]
+        results = [_task_rows(*t) for t in tasks]
     else:
         # imported here: serial runs never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            results = list(pool.map(_trial_rows, *zip(*tasks)))
+            results = list(pool.map(_task_rows, *zip(*tasks)))
+    rows = [np.concatenate(results[i * chunks:(i + 1) * chunks], axis=1) for i in range(len(config.two_s_values))]
     return [
-        summarize(np.concatenate(results[i * chunks:(i + 1) * chunks]), two_s, n)
-        for i, (n, two_s) in enumerate(points)
+        summarize(rows[i][j], two_s, n)
+        for j, n in enumerate(config.n_values)
+        for i, two_s in enumerate(config.two_s_values)
     ]

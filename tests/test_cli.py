@@ -283,10 +283,15 @@ def test_sweep_extreme_device_weights_are_normalized(tmp_path, weights, expected
 
 
 @pytest.mark.parametrize(
-    "grid", [["--two-s", "2000", "--n", "1,2", "--trials", "7"], ["--two-s", "5000", "--n", "1", "--trials", "5"]]
+    "grid",
+    [
+        ["--two-s", "2000", "--n", "1,2", "--trials", "7"],
+        ["--two-s", "5000", "--n", "1", "--trials", "5"],
+        ["--two-s", "3,2000", "--n", "1,3", "--trials", "7", "--complex", "--c3", "0.6", "--c4", "0.8j"],
+    ],
 )
 def test_sweep_chunked_points_do_not_depend_on_workers(tmp_path, monkeypatch, grid):
-    # fewer gridpoints than twice the workers: trials are split into chunks,
+    # fewer two_s values than twice the workers: trials are split into chunks,
     # 7 and 5 trials split unevenly across 2 and 3 workers
     outputs = []
     for workers in ("1", "2", "3"):

@@ -11,7 +11,9 @@ from spinshield import (
     SpinDims,
     SweepConfig,
     SweepError,
+    evaluate,
     run_sweep,
+    sample_coefficients,
     summarize,
     trial_rng,
     trial_seed,
@@ -168,7 +170,7 @@ def test_run_sweep_oracle_crosscheck_abort_names_the_trial(monkeypatch):
         run_sweep(config, workers=1)
     assert (err.value.two_s, err.value.n, err.value.trial) == (2, 1, 1)
     assert "two_s=2" in str(err.value) and "trial=1" in str(err.value)
-    # the crosscheck raises a plain ValueError, which the one wrap in _trial_rows names
+    # the crosscheck raises a plain ValueError, which the engine wraps with the trial's coordinates
     assert "closed form disagrees with oracle" in str(err.value)
     assert type(err.value.__cause__) is ValueError
 
@@ -234,6 +236,75 @@ def test_sweep_error_is_picklable():
 
 
 # ---------------------------------------------------------------------------
+# the engine: one draw per (two_s, trial), shared by every n
+
+
+@pytest.mark.parametrize("complex_mode", [False, True])
+@pytest.mark.parametrize("two_s", [1, 10, 100000])
+def test_engine_draw_is_sample_coefficients_for_every_n(two_s, complex_mode):
+    # two trials read into one batch, then scaled by each n's bound: the rows
+    # are bitwise those sample_coefficients draws from the same stream
+    dims, c, trials = SpinDims(two_s), SweepConfig().c, (1, 2)
+    draws = sweep_mod._Draws(dims.m_a, len(trials), complex_mode)
+    for t, trial in enumerate(trials):
+        draws.draw(t, trial_rng(0, two_s, trial))
+    assert draws.finish(len(trials)).all()
+    for n in (1, 2, 3):
+        x_max = x_max_schedule(two_s, n)
+        for side, name in ((0, "x"), (1, "y")):
+            rows = draws.side(side, x_max)
+            assert rows.dtype == (np.complex128 if complex_mode else np.float64)
+            for t, trial in enumerate(trials):
+                cs = sample_coefficients(dims, x_max, x_max, c, trial_rng(0, two_s, trial), complex_mode)
+                want = getattr(cs, name)[2:4]
+                if not complex_mode:
+                    assert not want.imag.any()
+                    want = want.real
+                assert np.ascontiguousarray(want).tobytes() == rows[t].tobytes(), (n, name, trial)
+
+
+@pytest.mark.parametrize("complex_mode", [False, True])
+def test_engine_rows_are_evaluate_of_each_draw(complex_mode):
+    # batched sums and measures are bitwise those of one draw at a time,
+    # for unequal weights and batches of several trials
+    c = (0, 0, 0.6, 0.8j)
+    config = SweepConfig(two_s_values=(2, 10, 1000), trials=7, c=c, master_seed=3,
+                         complex_mode=complex_mode)
+    for two_s in config.two_s_values:
+        rows = sweep_mod._task_rows(config, two_s, 2, 8)
+        assert rows.shape == (3, 6, 3)
+        for j, n in enumerate(config.n_values):
+            x_max = x_max_schedule(two_s, n)
+            for t, trial in enumerate(range(2, 8)):
+                rng = trial_rng(3, two_s, trial)
+                r = evaluate(sample_coefficients(SpinDims(two_s), x_max, x_max, c, rng, complex_mode))
+                want = [r.concurrence, r.one_tangle, r.monogamy_slack]
+                assert [v.hex() for v in rows[j, t].tolist()] == [v.hex() for v in want]
+
+
+def test_engine_failure_names_the_trial_and_n(monkeypatch):
+    # a measure that fails its check at one trial of a batch names that trial
+    # and the n it was evaluated for
+    original = sweep_mod.closedform._from_sums
+    calls = []
+
+    def bad_slack(x_sums, y_sums, w3, w4):
+        c, tau, slack = original(x_sums, y_sums, w3, w4)
+        calls.append(None)
+        if len(calls) == 2:  # the second n of the first task's batch, trials 1 .. 3
+            slack = slack.copy()
+            slack[2] = -1e-3
+        return c, tau, slack
+
+    monkeypatch.setattr(sweep_mod.closedform, "_from_sums", bad_slack)
+    config = SweepConfig(two_s_values=(10,), n_values=(1, 3), trials=6)
+    with pytest.raises(SweepError) as err:
+        run_sweep(config, workers=1)
+    assert (err.value.two_s, err.value.n, err.value.trial) == (10, 3, 3)
+    assert "monogamy violated: slack = -0.001" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
 # config validation
 
 
@@ -255,6 +326,19 @@ def test_sweep_error_is_picklable():
         {"c": (0, 0, 1, 1)},  # squared norm 2
         {"c": (0.6, 0, 0.8, 0)},  # four-level: the sweep draws only d = 3, 4
         {"oracle_crosscheck_max_dim": -5},
+        # integral settings only: each of these used to run, fail mid-run or
+        # run at a truncated value
+        {"trials": 2.5},
+        {"trials": 3.0},
+        {"trials": True},
+        {"two_s_values": (2.7,)},
+        {"two_s_values": (True,)},
+        {"two_s_values": (2, np.float64(4.0))},
+        {"n_values": (1.0,)},
+        {"n_values": (True,)},
+        {"master_seed": 1.5},
+        {"master_seed": False},
+        {"master_seed": "7"},
     ],
 )
 def test_config_rejects_invalid(kwargs):
@@ -271,6 +355,14 @@ def test_config_normalizes_n_order():
     assert config.n_values == (1, 3)
 
 
+def test_config_accepts_numpy_integers_as_ints():
+    config = SweepConfig(two_s_values=(np.int64(2), 4), n_values=(np.uint8(2),),
+                         trials=np.int32(3), master_seed=np.int64(-5))
+    assert (config.two_s_values, config.n_values, config.trials, config.master_seed) == ((2, 4), (2,), 3, -5)
+    assert all(type(v) is int for v in (*config.two_s_values, *config.n_values, config.trials,
+                                        config.master_seed))
+
+
 def test_run_sweep_rejects_bad_worker_count():
     with pytest.raises(ValueError):
         run_sweep(SweepConfig(two_s_values=(2,), n_values=(1,), trials=1), workers=0)
@@ -283,9 +375,11 @@ def test_run_sweep_rejects_bad_worker_count():
 @pytest.mark.parametrize(
     "dims, expected",
     [
-        (SpinDims(0), 64 * 2 + 32),
-        (SpinDims(3, 5), 64 * (4 + 6) + 32 * 6),
-        (SpinDims(100000), 16_000_160),  # 15.26 MiB
+        # one trial's 64 (m_a + m_b) + 32 max(m_a, m_b) bytes, times the trials
+        # of a batch: as many as fit 4 MiB, at least one
+        (SpinDims(0), (4 * 2**20 // 160) * 160),
+        (SpinDims(3, 5), (4 * 2**20 // 832) * 832),
+        (SpinDims(100000), 16_000_160),  # 15.26 MiB: one trial
         (SpinDims(10**20), 160 * (10**20 + 1)),
     ],
 )
