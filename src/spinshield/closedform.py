@@ -71,10 +71,11 @@ def _require_two_level(cs: CoefficientSet) -> None:
 def _modulus(z) -> tuple:
     """|z| and |z|**2 of complex entries, as Python's complex abs and float pow round them.
 
-    numpy's complex abs and its power ufunc have SIMD loops that round
-    differently in the last bit, and the sweep's outputs are pinned bit for
-    bit; a draw has only one S34 per side, so the loop is short.  A scalar
-    gives two floats.
+    numpy's complex abs rounds differently from the C library's hypot, and
+    the C library's pow(x, 2) differs from x * x in the last bit, so no
+    ufunc stands in for either: the sweep's outputs are pinned bit for bit.
+    A draw has one S34 per side, so the loop is short.  A scalar gives two
+    floats.
     """
     if not isinstance(z, np.ndarray) or not z.ndim:
         z = complex(z)

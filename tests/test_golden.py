@@ -2,7 +2,8 @@
 
 The files under ``tests/golden/`` are the exact outputs of the commands in
 ``CASES`` and ``SWEEPS``.  The complex-mode sweep, with ``|c3| != |c4|``,
-pins the complex draw (moduli, then phase factors) and unequal weights.  Two things are not compared as bytes:
+pins the complex draw (moduli, then phase factors) and unequal weights.
+Two things are not compared as bytes:
 
 - the dense-oracle values of ``single`` (``C_oracle``, ``tau_oracle_*`` and
   the ``rho_*`` matrices) come from BLAS and LAPACK, which may round
