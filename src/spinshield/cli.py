@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 runtime or property failure, 2 usage error (a bad
 setting, or a draw too large for physical memory).  The
 ``SPINSHIELD_WORKERS`` environment variable bounds the worker-process count
-for sweeps (default: all cores); it can never change the output bytes.
+for sweeps (default and cap: the usable cores); it can never change the output bytes.
 """
 
 from __future__ import annotations

@@ -71,8 +71,8 @@ def _frozen_array(values, shape) -> np.ndarray:
     A write-protected, C-contiguous complex128 array that owns its data (as
     :func:`sample_coefficients` and the dense oracle build them) is adopted
     as it is; anything else is copied, so a caller's array is never frozen
-    or aliased.  Finiteness is left to the caller, which checks only what
-    can hold a non-finite entry or rejects one through its tolerance checks.
+    or aliased.  Finiteness is left to the caller, which checks it or
+    rejects a non-finite entry through its tolerance checks.
     """
     flags = values.flags if isinstance(values, np.ndarray) else None
     if (
@@ -91,17 +91,17 @@ def _frozen_array(values, shape) -> np.ndarray:
     return arr
 
 
-def _perturbations(values, m: int) -> tuple[np.ndarray, bool]:
-    """The frozen 4 x m perturbation matrix and whether its rows 0-1 are all zero.
-
-    Zero rows are finite, so the finiteness pass then covers only rows 2-3,
-    as a float64 view of their real and imaginary parts.
-    """
+def _perturbations(values, m: int) -> np.ndarray:
+    """The frozen 4 x m perturbation matrix, checked for finite entries."""
     arr = _frozen_array(values, (4, m))
-    upper_zero = not arr[:2].any()
-    if not np.isfinite((arr[2:] if upper_zero else arr).view(np.float64)).all():
+    if not np.isfinite(arr).all():
         raise ValueError("array entries must be finite")
-    return arr, upper_zero
+    return arr
+
+
+def _is_integer(v) -> bool:
+    """An int or numpy integer, and not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def _check_unit_norm(c) -> None:
@@ -128,7 +128,7 @@ class SpinDims:
             object.__setattr__(self, "two_s_b", self.two_s_a)
         for name in ("two_s_a", "two_s_b"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 0:
+            if not _is_integer(v) or v < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
             object.__setattr__(self, name, int(v))
 
@@ -161,18 +161,14 @@ class CoefficientSet:
         c = _frozen_array(self.c, (4,))
         if not np.isfinite(c).all():
             raise ValueError("device weights must be finite")
-        x, x_upper_zero = _perturbations(self.x, self.dims.m_a)
-        y, y_upper_zero = _perturbations(self.y, self.dims.m_b)
+        x = _perturbations(self.x, self.dims.m_a)
+        y = _perturbations(self.y, self.dims.m_b)
         _check_unit_norm(c.tolist())
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         # kept outside the dataclass fields, so == and repr do not see it
-        object.__setattr__(
-            self,
-            "_two_level",
-            bool(c[0] == 0 and c[1] == 0 and x_upper_zero and y_upper_zero),
-        )
+        object.__setattr__(self, "_two_level", not (c[:2].any() or x[:2].any() or y[:2].any()))
 
     @property
     def is_two_level(self) -> bool:
@@ -218,9 +214,9 @@ def x_max_schedule(two_s: int, n: int) -> float:
     exponent is irrelevant at S = 1).  Raises ValueError where the bound
     is not a positive float64.
     """
-    if not isinstance(two_s, (int, np.integer)) or two_s < 1:
+    if not _is_integer(two_s) or two_s < 1:
         raise ValueError(f"two_s must be a positive integer, got {two_s!r}")
-    if n not in (1, 2, 3):
+    if not _is_integer(n) or n not in (1, 2, 3):
         raise ValueError(f"n must be 1, 2 or 3, got {n!r}")
     try:
         x_max = 1.0 / (2.0 * (two_s / 2.0) ** n)
@@ -252,19 +248,16 @@ def sample_coefficients(
     x = np.zeros((4, dims.m_a), dtype=np.complex128)
     y = np.zeros((4, dims.m_b), dtype=np.complex128)
     for rows, bound in ((x[2:4], x_max), (y[2:4], y_max)):
-        if complex_mode:
-            for row in rows:
-                mod = bound * (1.0 - rng.random(row.size))
+        for row in rows:
+            mod = bound * (1.0 - rng.random(row.size))
+            if complex_mode:
                 # the phase factor is built in the row itself: no complex temporary
                 np.multiply(2j * np.pi, rng.random(row.size), out=row)
                 np.exp(row, out=row)
                 row *= mod
-        else:
-            # one call fills both rows from the stream in row order
-            u = rng.random(rows.shape)
-            np.subtract(1.0, u, out=u)
-            np.multiply(bound, u, out=rows.real)
-            del u  # freed before the next side draws its own
+            else:
+                row.real = mod
+            del mod  # freed before the next row draws its own
     # the arrays are frozen here, so CoefficientSet adopts them without a copy
     x.setflags(write=False)
     y.setflags(write=False)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closedform, oracle
-from .model import SpinDims, _check_unit_norm, sample_coefficients, x_max_schedule
+from .model import SpinDims, _check_unit_norm, _is_integer, sample_coefficients, x_max_schedule
 
 __all__ = [
     "DEFAULT_TWO_S_GRID",
@@ -147,11 +147,6 @@ def check_memory_budget(dims: SpinDims, processes: int = 1) -> None:
             f"per worker process, {gb(per_worker * processes)} GB for {processes}, "
             f"more than the {gb(physical)} GB of physical memory"
         )
-
-
-def _is_integer(v) -> bool:
-    """An int or numpy integer, and not a bool."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -308,12 +303,11 @@ class _Draws:
 
 
 def _crosscheck(
-    config: SweepConfig, dims: SpinDims, x_max: float, c: np.ndarray, two_s: int, trial: int,
-    measured: np.ndarray,
+    config: SweepConfig, dims: SpinDims, x_max: float, two_s: int, trial: int, measured: np.ndarray
 ) -> None:
     """Raise ValueError unless the dense oracle, on the trial's own draw, agrees with (C, tau)."""
     rng = trial_rng(config.master_seed, two_s, trial)
-    cs = sample_coefficients(dims, x_max, x_max, c, rng, config.complex_mode)
+    cs = sample_coefficients(dims, x_max, x_max, config.c, rng, config.complex_mode)
     state = oracle.assemble_state(cs)
     dc = abs(measured[0] - oracle.wootters_concurrence(oracle.reduce(state, "D")))
     dtau = abs(measured[1] - oracle.one_tangle(oracle.reduce(state, "Q1")))
@@ -331,8 +325,6 @@ def _task_rows(config: SweepConfig, two_s: int, first: int, stop: int) -> np.nda
     bounds = [x_max_schedule(two_s, n) for n in config.n_values]
     w3, w4 = (abs(v) for v in config.c[2:])
     crosscheck = dims.m_a * dims.m_b <= config.oracle_crosscheck_max_dim
-    c = np.array(config.c)
-    c.setflags(write=False)  # every crosscheck draw adopts this array instead of copying the tuple
     out = np.empty((len(bounds), stop - first, 3))
     batch = min(_batch_trials(dims), stop - first)
     draws = _Draws(dims.m_a, batch, config.complex_mode)
@@ -361,24 +353,29 @@ def _task_rows(config: SweepConfig, two_s: int, first: int, stop: int) -> np.nda
                 continue
             for trial in range(lo, hi):
                 try:
-                    _crosscheck(config, dims, bound, c, two_s, trial, rows[trial - lo])
+                    _crosscheck(config, dims, bound, two_s, trial, rows[trial - lo])
                 except Exception as exc:
                     raise SweepError(two_s, n, trial, str(exc)) from exc
     return out
 
 
 def _chunks(config: SweepConfig, workers: int) -> int:
-    """Contiguous trial chunks per two_s: at least 2 tasks per worker, 1 chunk
+    """Contiguous trial chunks per two_s: at least one task per worker, 1 chunk
     per two_s once there are that many two_s values."""
-    return min(config.trials, -(-2 * workers // len(config.two_s_values)))
+    return min(config.trials, -(-workers // len(config.two_s_values)))
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on (all cores where the platform does not say)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers < 1:
+    """The worker count, capped at the usable cores, which are also the default."""
+    if workers is not None and workers < 1:
         raise ValueError("workers must be >= 1")
-    return workers
+    cores = _usable_cores()
+    return cores if workers is None else min(workers, cores)
 
 
 def worker_processes(config: SweepConfig, workers: int | None = None) -> int:
@@ -391,9 +388,9 @@ def worker_processes(config: SweepConfig, workers: int | None = None) -> int:
 def run_sweep(config: SweepConfig, workers: int | None = None) -> list[SweepPoint]:
     """Evaluate every (n, two_s) gridpoint; n-major, two_s-minor output order.
 
-    ``workers`` bounds the number of worker processes (default: all cores).
-    A task is one two_s and a contiguous chunk of its trials, evaluated for
-    every n.  With fewer two_s values than twice the workers, each two_s's
+    ``workers`` bounds the number of worker processes (default and cap: the
+    usable cores).  A task is one two_s and a contiguous chunk of its trials,
+    evaluated for every n.  With fewer two_s values than workers, each two_s's
     trials are split into chunks that run as separate tasks, so a single
     large point still uses every core.  The worker count cannot change the
     results: every trial owns a stream derived only from (master_seed,

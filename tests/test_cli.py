@@ -57,6 +57,13 @@ def test_sweep_invalid_worker_env_is_usage_error(tmp_path, monkeypatch):
                     "--out", str(tmp_path / "x")]) == 2
 
 
+def test_sweep_zero_worker_env_is_usage_error_before_out(tmp_path, monkeypatch):
+    monkeypatch.setenv(cli.WORKERS_ENV, "0")
+    out = tmp_path / "x"
+    assert run_cli(["sweep", "--two-s", "2", "--n", "1", "--trials", "1", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_sweep_csv_schema(tmp_path):
     out = tmp_path / "r"
     run_cli(["sweep", "--two-s", "2,4", "--n", "1,2", "--trials", "2", "--out", str(out)])
@@ -168,6 +175,20 @@ def test_sweep_bad_flags_exit_2(tmp_path):
     assert run_cli(["sweep", "--two-s", "2", "--n", "7", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("two_s", ["1:2", "a:b:c", "0:10:2"])
+def test_sweep_bad_geometric_range_is_usage_error(tmp_path, two_s):
+    out = tmp_path / "r"
+    assert run_cli(["sweep", "--two-s", two_s, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_sweep_zero_weights_are_usage_error(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert run_cli(["sweep", "--c3", "0", "--c4", "0", "--out", str(out)]) == 2
+    assert "cannot both be zero" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -234,6 +255,13 @@ def test_sweep_draw_beyond_physical_memory_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_missing_config_file_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert run_cli(["sweep", "--config", str(tmp_path / "absent.cfg"), "--out", str(out)]) == 2
+    assert "cannot read config file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("two_s = 2\nturbo = on\n")
@@ -291,8 +319,11 @@ def test_sweep_extreme_device_weights_are_normalized(tmp_path, weights, expected
     ],
 )
 def test_sweep_chunked_points_do_not_depend_on_workers(tmp_path, monkeypatch, grid):
-    # fewer two_s values than twice the workers: trials are split into chunks,
-    # 7 and 5 trials split unevenly across 2 and 3 workers
+    # fewer two_s values than workers: trials are split into chunks, one task
+    # per worker, so 7 and 5 trials split unevenly across 2 and 3 workers and
+    # the last grid's two_s values run in 2 chunks each on 3 workers.  The
+    # core count is patched so the chunks are the same on any host.
+    monkeypatch.setattr("spinshield.sweep._usable_cores", lambda: 16)
     outputs = []
     for workers in ("1", "2", "3"):
         monkeypatch.setenv(cli.WORKERS_ENV, workers)

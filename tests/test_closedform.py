@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinshield import (
+    BranchSums,
     CoefficientSet,
     DeviceModeError,
     SpinDims,
@@ -111,6 +112,12 @@ def test_branch_sums_identical_rows_saturate_cauchy_schwarz():
     bs = branch_sums(CoefficientSet(dims, BELL_C, x, np.zeros((4, 2))))
     assert bs.X34.real == bs.X3 == bs.X4
     assert bs.X34.imag == 0.0
+
+
+def test_branch_sums_beyond_cauchy_schwarz_are_refused():
+    # |X34|**2 = 4 exceeds X3 X4 = 1: no pair of rows has these sums
+    with pytest.raises(ValueError, match="X sums are inconsistent"):
+        BranchSums(X3=1.0, X4=1.0, Y3=1.0, Y4=1.0, X34=2.0, Y34=0j, GX=0.0, GY=0.0)
 
 
 def test_branch_sums_requires_two_level_mode():

@@ -35,7 +35,7 @@ def test_spin_dims_asymmetric_allowed():
     assert (dims.m_a, dims.m_b) == (3, 6)
 
 
-@pytest.mark.parametrize("bad", [-1, 2.5, "3"])
+@pytest.mark.parametrize("bad", [-1, 2.5, "3", True, False])
 def test_spin_dims_rejects_bad_values(bad):
     with pytest.raises(ValueError):
         SpinDims(bad)
@@ -53,7 +53,9 @@ def test_schedule_values(two_s, n, expected):
     assert x_max_schedule(two_s, n) == pytest.approx(expected, rel=1e-15)
 
 
-@pytest.mark.parametrize("two_s,n", [(0, 1), (2, 0), (2, 4), (-3, 1)])
+@pytest.mark.parametrize(
+    "two_s,n", [(0, 1), (2, 0), (2, 4), (-3, 1), (True, 1), (True, True), (2, True), (2, 1.0)]
+)
 def test_schedule_domain_errors(two_s, n):
     with pytest.raises(ValueError):
         x_max_schedule(two_s, n)
@@ -195,7 +197,8 @@ def test_sample_draw_order_is_pinned():
     cs = sample_coefficients(dims, 0.5, 0.25, BELL_C, rng)
     ref = np.random.Generator(np.random.PCG64(99))
     for row, bound in ((cs.x[2], 0.5), (cs.x[3], 0.5), (cs.y[2], 0.25), (cs.y[3], 0.25)):
-        np.testing.assert_array_equal(row.real, bound * (1.0 - ref.random(dims.m_a)))
+        want = bound * (1.0 - ref.random(dims.m_a))
+        assert row.tobytes() == want.astype(np.complex128).tobytes()
 
 
 def test_sample_complex_draw_order_is_pinned():

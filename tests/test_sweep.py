@@ -20,6 +20,7 @@ from spinshield import (
     x_max_schedule,
 )
 from spinshield.sweep import (
+    DEFAULT_TWO_S_GRID,
     MemoryBudgetError,
     _mix64,
     check_memory_budget,
@@ -177,10 +178,13 @@ def test_run_sweep_oracle_crosscheck_abort_names_the_trial(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_run_sweep_error_in_a_chunk_names_the_global_trial(monkeypatch, workers):
-    # one point on 2 or 3 workers runs its 7 trials as chunks; the failing
-    # trial 4 lies inside a later chunk and is still reported as trial 4
+    # one point on 2 or 3 workers runs its 7 trials as 2 or 3 chunks, one task
+    # per worker; the failing trial 4 lies inside a later chunk and is still
+    # reported as trial 4.  The core count is patched so the chunks are the
+    # same on any host.
     if workers > 1 and multiprocessing.get_start_method() != "fork":
         pytest.skip("the patched trial_rng reaches pool workers only through fork")
+    monkeypatch.setattr(sweep_mod, "_usable_cores", lambda: 16)
     original = sweep_mod.trial_rng
 
     def failing_rng(master_seed, two_s, trial):
@@ -291,7 +295,7 @@ def test_engine_failure_names_the_trial_and_n(monkeypatch):
     def bad_slack(x_sums, y_sums, w3, w4):
         c, tau, slack = original(x_sums, y_sums, w3, w4)
         calls.append(None)
-        if len(calls) == 2:  # the second n of the first task's batch, trials 1 .. 3
+        if len(calls) == 2:  # the second n of the task's batch, trials 1 .. 6
             slack = slack.copy()
             slack[2] = -1e-3
         return c, tau, slack
@@ -302,6 +306,29 @@ def test_engine_failure_names_the_trial_and_n(monkeypatch):
         run_sweep(config, workers=1)
     assert (err.value.two_s, err.value.n, err.value.trial) == (10, 3, 3)
     assert "monogamy violated: slack = -0.001" in str(err.value)
+
+
+class _NaNGenerator:
+    """Stands in for a trial's generator and fills every draw with NaN."""
+
+    def random(self, size=None, out=None):
+        out[...] = np.nan
+        return out
+
+
+@pytest.mark.parametrize("complex_mode", [False, True])
+def test_engine_non_finite_draw_names_the_trial_and_first_n(monkeypatch, complex_mode):
+    original = sweep_mod.trial_rng
+
+    def nan_at_trial_3(master_seed, two_s, trial):
+        return _NaNGenerator() if trial == 3 else original(master_seed, two_s, trial)
+
+    monkeypatch.setattr(sweep_mod, "trial_rng", nan_at_trial_3)
+    config = SweepConfig(two_s_values=(10,), n_values=(2, 3), trials=5, complex_mode=complex_mode)
+    with pytest.raises(SweepError) as err:
+        run_sweep(config, workers=1)
+    assert (err.value.two_s, err.value.n, err.value.trial) == (10, 2, 3)
+    assert "array entries must be finite" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +419,32 @@ def test_trial_peak_bytes_is_one_draw_plus_two_rows(dims, expected):
     [
         ((100000,), (1,), 1, 8, 1),  # one task
         ((100000,), (1, 2, 3), 20, 1, 1),  # serial
-        ((100000,), (1, 2, 3), 20, 2, 2),  # 3 points x 2 chunks on 2 workers
-        ((2, 4), (1,), 3, 16, 6),  # 2 points x 3 chunks: fewer tasks than workers
+        ((100000,), (1, 2, 3), 20, 2, 2),  # 1 two_s in 2 chunks: one task per worker
+        ((2, 4), (1,), 3, 16, 6),  # 2 two_s x 3 chunks, one per trial: fewer tasks than workers
+        # a pool starts all its processes at once, so no count beyond the cores is honored
+        (DEFAULT_TWO_S_GRID, (1, 2, 3), 200, 1000, 16),
+        (DEFAULT_TWO_S_GRID, (1, 2, 3), 200, None, 16),  # the default: every usable core
     ],
 )
-def test_worker_processes_counts_the_pool(two_s, n, trials, workers, expected):
+def test_worker_processes_counts_the_pool(monkeypatch, two_s, n, trials, workers, expected):
+    # the same pool on any host, whose usable cores cap the worker count
+    monkeypatch.setattr(sweep_mod, "_usable_cores", lambda: 16)
     config = SweepConfig(two_s_values=two_s, n_values=n, trials=trials)
     assert worker_processes(config, workers) == expected
+
+
+def test_serial_sweep_reads_each_two_s_in_one_task(monkeypatch):
+    # one task per worker: a serial run does not split a lone two_s into chunks
+    tasks = []
+    original = sweep_mod._task_rows
+
+    def recording(config, two_s, first, stop):
+        tasks.append((two_s, first, stop))
+        return original(config, two_s, first, stop)
+
+    monkeypatch.setattr(sweep_mod, "_task_rows", recording)
+    run_sweep(SweepConfig(two_s_values=(10,), n_values=(1,), trials=6), workers=1)
+    assert tasks == [(10, 1, 7)]
 
 
 def test_memory_budget_compares_draws_times_processes_with_physical_memory(monkeypatch):
@@ -435,3 +481,17 @@ def test_serial_sweep_holds_one_draw_at_a_time(complex_mode):
     finally:
         tracemalloc.stop()
     assert peak <= trial_peak_bytes(SpinDims(100000))
+
+
+@pytest.mark.parametrize("complex_mode", [False, True])
+def test_single_draw_and_its_evaluation_fit_the_trial_bound(complex_mode):
+    # what `single` holds at two_s = 100000: one CoefficientSet and its evaluate
+    dims, x_max = SpinDims(100000), x_max_schedule(100000, 1)
+    tracemalloc.start()
+    try:
+        cs = sample_coefficients(dims, x_max, x_max, SweepConfig().c, trial_rng(0, 100000, 1), complex_mode)
+        evaluate(cs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= trial_peak_bytes(dims)
