@@ -360,9 +360,9 @@ def _task_rows(config: SweepConfig, two_s: int, first: int, stop: int) -> np.nda
 
 
 def _chunks(config: SweepConfig, workers: int) -> int:
-    """Contiguous trial chunks per two_s: at least one task per worker, 1 chunk
-    per two_s once there are that many two_s values."""
-    return min(config.trials, -(-workers // len(config.two_s_values)))
+    """Contiguous trial chunks per two_s: 1 in a serial run, else at least 2
+    tasks per worker, 1 chunk per two_s once there are that many two_s values."""
+    return 1 if workers == 1 else min(config.trials, -(-2 * workers // len(config.two_s_values)))
 
 
 def _usable_cores() -> int:
@@ -390,15 +390,15 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> list[SweepPoin
 
     ``workers`` bounds the number of worker processes (default and cap: the
     usable cores).  A task is one two_s and a contiguous chunk of its trials,
-    evaluated for every n.  With fewer two_s values than workers, each two_s's
-    trials are split into chunks that run as separate tasks, so a single
-    large point still uses every core.  The worker count cannot change the
-    results: every trial owns a stream derived only from (master_seed,
-    two_s, trial), and each point is aggregated from its rows in trial
-    order.  Any failed trial aborts the sweep with a SweepError naming its
-    coordinates; trials are never silently skipped.  A sweep whose largest
-    batch of draws, once per worker process, exceeds physical memory raises
-    MemoryBudgetError before any trial runs.
+    evaluated for every n.  A parallel sweep with fewer two_s values than
+    twice the workers splits each two_s's trials into chunks that run as
+    separate tasks, so a single large point still uses every core.  The
+    worker count cannot change the results: every trial owns a stream derived
+    only from (master_seed, two_s, trial), and each point is aggregated from
+    its rows in trial order.  Any failed trial aborts the sweep with a
+    SweepError naming its coordinates; trials are never silently skipped.  A
+    sweep whose largest batch of draws, once per worker process, exceeds
+    physical memory raises MemoryBudgetError before any trial runs.
     """
     workers = _resolve_workers(workers)
     processes = worker_processes(config, workers)

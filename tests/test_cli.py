@@ -43,6 +43,8 @@ def test_sweep_csv_is_deterministic(tmp_path):
 
 
 def test_sweep_worker_env_does_not_change_bytes(tmp_path, monkeypatch):
+    # 3 workers split each of the 3 two_s values into 2 chunks on any host
+    monkeypatch.setattr("spinshield.sweep._usable_cores", lambda: 16)
     argv = ["sweep", "--two-s", "2,4,10", "--n", "1,3", "--trials", "10", "--out"]
     monkeypatch.setenv(cli.WORKERS_ENV, "1")
     assert run_cli(argv + [str(tmp_path / "w1")]) == 0
@@ -319,10 +321,9 @@ def test_sweep_extreme_device_weights_are_normalized(tmp_path, weights, expected
     ],
 )
 def test_sweep_chunked_points_do_not_depend_on_workers(tmp_path, monkeypatch, grid):
-    # fewer two_s values than workers: trials are split into chunks, one task
-    # per worker, so 7 and 5 trials split unevenly across 2 and 3 workers and
-    # the last grid's two_s values run in 2 chunks each on 3 workers.  The
-    # core count is patched so the chunks are the same on any host.
+    # fewer two_s values than twice the workers: trials are split into chunks,
+    # 7 and 5 trials split unevenly across 2 and 3 workers.  The core count is
+    # patched so the chunks are the same on any host.
     monkeypatch.setattr("spinshield.sweep._usable_cores", lambda: 16)
     outputs = []
     for workers in ("1", "2", "3"):

@@ -146,7 +146,9 @@ def test_run_sweep_monogamy_contract():
         assert 0.0 <= point.mean_tau <= 1.0
 
 
-def test_run_sweep_deterministic_and_worker_independent():
+def test_run_sweep_deterministic_and_worker_independent(monkeypatch):
+    # 2 workers split each of the 3 two_s values into 2 chunks on any host
+    monkeypatch.setattr(sweep_mod, "_usable_cores", lambda: 16)
     config = SweepConfig(two_s_values=(2, 4, 10), n_values=(1, 2), trials=20)
     serial = run_sweep(config, workers=1)
     again = run_sweep(config, workers=1)
@@ -178,7 +180,7 @@ def test_run_sweep_oracle_crosscheck_abort_names_the_trial(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_run_sweep_error_in_a_chunk_names_the_global_trial(monkeypatch, workers):
-    # one point on 2 or 3 workers runs its 7 trials as 2 or 3 chunks, one task
+    # one point on 2 or 3 workers runs its 7 trials as 4 or 6 chunks, 2 tasks
     # per worker; the failing trial 4 lies inside a later chunk and is still
     # reported as trial 4.  The core count is patched so the chunks are the
     # same on any host.
@@ -419,7 +421,7 @@ def test_trial_peak_bytes_is_one_draw_plus_two_rows(dims, expected):
     [
         ((100000,), (1,), 1, 8, 1),  # one task
         ((100000,), (1, 2, 3), 20, 1, 1),  # serial
-        ((100000,), (1, 2, 3), 20, 2, 2),  # 1 two_s in 2 chunks: one task per worker
+        ((100000,), (1, 2, 3), 20, 2, 2),  # 1 two_s in 4 chunks: 2 tasks per worker
         ((2, 4), (1,), 3, 16, 6),  # 2 two_s x 3 chunks, one per trial: fewer tasks than workers
         # a pool starts all its processes at once, so no count beyond the cores is honored
         (DEFAULT_TWO_S_GRID, (1, 2, 3), 200, 1000, 16),
@@ -434,7 +436,7 @@ def test_worker_processes_counts_the_pool(monkeypatch, two_s, n, trials, workers
 
 
 def test_serial_sweep_reads_each_two_s_in_one_task(monkeypatch):
-    # one task per worker: a serial run does not split a lone two_s into chunks
+    # a serial run does not split a lone two_s into chunks
     tasks = []
     original = sweep_mod._task_rows
 
