@@ -369,8 +369,9 @@ _VERIFY_CHECKS = {
 def cmd_verify(args) -> int:
     if args.cases < 1:
         raise UsageError("--cases must be >= 1")
-    if not 1 <= args.two_s_max <= 63:
-        raise UsageError("--two-s-max must be in [1, 63] (dense-oracle gate)")
+    two_s_gate = math.isqrt(oracle.ORACLE_MAX_DIM) - 1  # m_a m_b = (two_s + 1)**2
+    if not 1 <= args.two_s_max <= two_s_gate:
+        raise UsageError(f"--two-s-max must be in [1, {two_s_gate}] (dense-oracle gate)")
     if not 0 < args.tol < math.inf:
         raise UsageError("--tol must be positive and finite")
 

@@ -42,9 +42,6 @@ _HERMITIAN_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-10
 
-# _is_hermitian uses the direct formula up to this many rows.
-_DIRECT_MAX_ROWS = 64
-
 # Height of the row strips the two O(n^2) tolerance checks walk: a 32-row
 # strip of a 1089 x 1089 complex matrix (557 KB) stays in L2, and a
 # transposed read of 32 rows reuses each cache line it loads.
@@ -100,20 +97,15 @@ def _within_tol(d: np.ndarray, tol: float) -> bool:
 
 
 def _is_hermitian(e: np.ndarray, tol: float) -> bool:
-    """Exactly ``_hermitian_deviation(e) <= tol``.
+    """Exactly ``_hermitian_deviation(e) <= tol``, decided one row strip at a time.
 
-    Up to 64 rows this is the direct formula, the cheapest at the 2x2 and
-    4x4 sizes the sweep builds.  Larger matrices are decided one row strip
-    at a time: strip i holds e[i:, s] - conj(e[s, i:])^T for the rows
-    s = i..i+31, which covers every entry on and below the diagonal (the
-    deviation above it has the same modulus).  The conjugated block is
-    written in row order into one work buffer shared by all strips, so
-    the transposed read walks 32 rows at a time and nothing is allocated per
-    strip.
+    Strip i holds e[i:, s] - conj(e[s, i:])^T for the rows s = i..i+31,
+    which covers every entry on and below the diagonal (the deviation above
+    it has the same modulus).  The conjugated block is written in row order
+    into one work buffer shared by all strips, so the transposed read walks
+    32 rows at a time and nothing is allocated per strip.
     """
     n = e.shape[0]
-    if n <= _DIRECT_MAX_ROWS:
-        return _hermitian_deviation(e) <= tol
     buf = np.empty(n * min(n, _STRIP), dtype=e.dtype)
     for i in range(0, n, _STRIP):
         lower = e[i:, i:i + _STRIP]

@@ -303,16 +303,21 @@ class _Draws:
 
 
 def _crosscheck(
-    config: SweepConfig, dims: SpinDims, x_max: float, two_s: int, trial: int, measured: np.ndarray
+    config: SweepConfig, dims: SpinDims, two_s: int, trial: int, bounds: list[float], measured: np.ndarray
 ) -> None:
-    """Raise ValueError unless the dense oracle, on the trial's own draw, agrees with (C, tau)."""
-    rng = trial_rng(config.master_seed, two_s, trial)
-    cs = sample_coefficients(dims, x_max, x_max, config.c, rng, config.complex_mode)
-    state = oracle.assemble_state(cs)
-    dc = abs(measured[0] - oracle.wootters_concurrence(oracle.reduce(state, "D")))
-    dtau = abs(measured[1] - oracle.one_tangle(oracle.reduce(state, "Q1")))
-    if dc > ORACLE_CROSSCHECK_TOL or dtau > ORACLE_CROSSCHECK_TOL:
-        raise ValueError(f"closed form disagrees with oracle (dC={dc:.3e}, dtau={dtau:.3e})")
+    """Raise SweepError unless the oracle, on the unit draw scaled by each n's bound, agrees with that n's row."""
+    n = config.n_values[0]  # a failed draw names the first n, a failed check its own n
+    try:
+        rng = trial_rng(config.master_seed, two_s, trial)
+        unit = sample_coefficients(dims, 1.0, 1.0, config.c, rng, config.complex_mode)
+        for n, bound, (c, tau, _) in zip(config.n_values, bounds, measured):
+            state = oracle.assemble_state(unit.scaled(bound))
+            dc = abs(c - oracle.wootters_concurrence(oracle.reduce(state, "D")))
+            dtau = abs(tau - oracle.one_tangle(oracle.reduce(state, "Q1")))
+            if dc > ORACLE_CROSSCHECK_TOL or dtau > ORACLE_CROSSCHECK_TOL:
+                raise ValueError(f"closed form disagrees with oracle (dC={dc:.3e}, dtau={dtau:.3e})")
+    except Exception as exc:
+        raise SweepError(two_s, n, trial, str(exc)) from exc
 
 
 def _task_rows(config: SweepConfig, two_s: int, first: int, stop: int) -> np.ndarray:
@@ -320,11 +325,11 @@ def _task_rows(config: SweepConfig, two_s: int, first: int, stop: int) -> np.nda
 
     Each trial's stream is read once and serves every n.  A failure names
     its trial and n; a failure in the shared draw names the config's first n.
+    The crosscheck runs once every batch is done, so an engine failure is reported first.
     """
     dims = SpinDims(two_s)
     bounds = [x_max_schedule(two_s, n) for n in config.n_values]
     w3, w4 = (abs(v) for v in config.c[2:])
-    crosscheck = dims.m_a * dims.m_b <= config.oracle_crosscheck_max_dim
     out = np.empty((len(bounds), stop - first, 3))
     batch = min(_batch_trials(dims), stop - first)
     draws = _Draws(dims.m_a, batch, config.complex_mode)
@@ -347,15 +352,10 @@ def _task_rows(config: SweepConfig, two_s: int, first: int, stop: int) -> np.nda
             if failure is not None:
                 i, exc = failure
                 raise SweepError(two_s, n, lo + i, str(exc)) from exc
-            rows = out[j, lo - first:hi - first]
-            rows[...] = np.stack(measures, axis=-1)
-            if not crosscheck:
-                continue
-            for trial in range(lo, hi):
-                try:
-                    _crosscheck(config, dims, bound, two_s, trial, rows[trial - lo])
-                except Exception as exc:
-                    raise SweepError(two_s, n, trial, str(exc)) from exc
+            out[j, lo - first:hi - first] = np.stack(measures, axis=-1)
+    if dims.m_a * dims.m_b <= config.oracle_crosscheck_max_dim:
+        for trial in range(first, stop):
+            _crosscheck(config, dims, two_s, trial, bounds, out[:, trial - first])
     return out
 
 

@@ -209,6 +209,40 @@ def test_sweep_config_file(tmp_path):
     assert "master_seed = 9" in manifest
 
 
+@pytest.mark.parametrize("value", ["off", "false", "no", "0"])
+def test_sweep_config_file_turns_complex_off(tmp_path, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"two_s = 2\nn = 1\ntrials = 1\ncomplex = {value}\n")
+    out = tmp_path / "r"
+    assert run_cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "complex_mode = false" in (out / "manifest.txt").read_text().splitlines()
+
+
+def test_sweep_complex_flag_overrides_config_file(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("two_s = 2\nn = 1\ntrials = 1\ncomplex = no\n")
+    out = tmp_path / "r"
+    assert run_cli(["sweep", "--config", str(cfg), "--complex", "--out", str(out)]) == 0
+    assert "complex_mode = true" in (out / "manifest.txt").read_text().splitlines()
+
+
+@pytest.mark.parametrize(
+    "line,flags,message",
+    [
+        ("complex = maybe", [], "bad boolean 'maybe'"),
+        ("", ["--c3", "abc"], "bad complex number 'abc'"),
+        ("two_s 2", [], "run.cfg:3: expected `key = value`, got 'two_s 2'"),
+    ],
+)
+def test_sweep_unparsable_setting_is_usage_error(tmp_path, capsys, line, flags, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n = 1\ntrials = 1\n{line}\n")
+    out = tmp_path / "r"
+    assert run_cli(["sweep", "--config", str(cfg), *flags, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_crosscheck_bound_beyond_oracle_gate_is_usage_error(tmp_path, capsys):
     # above the oracle's gate, or negative
     for value in ("100000", "-5"):
@@ -408,6 +442,12 @@ def test_verify_check_that_raises_fails_its_case_and_the_others_run(capsys, monk
 
 def test_verify_two_s_max_gate():
     assert run_cli(["verify", "--cases", "1", "--two-s-max", "64"]) == 2
+
+
+def test_verify_two_s_max_at_the_gate_runs(capsys):
+    # two_s = 63 makes m_a m_b = 4096, the dense oracle's gate
+    assert run_cli(["verify", "--cases", "1", "--two-s-max", "63"]) == 0
+    assert capsys.readouterr().out.count(": 1/1\n") == 6
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from spinshield import (
     sample_coefficients,
     x_max_schedule,
 )
+from spinshield.model import _clamp_unit
 from util import BELL_C, bell_set, random_set, worked_example
 
 
@@ -297,3 +298,13 @@ def test_report_rejects_monogamy_violation():
 def test_report_rejects_out_of_range():
     with pytest.raises(ValueError):
         EntanglementReport(1.5, 1.0, 0.0)
+
+
+def test_report_rejects_one_tangle_out_of_range():
+    with pytest.raises(ValueError, match=r"one_tangle out of \[0,1\]"):
+        EntanglementReport(0.5, 1.5, 0.0)
+
+
+def test_clamp_unit_snaps_a_rounding_undershoot_to_zero():
+    assert _clamp_unit(-5e-13) == 0.0
+    assert _clamp_unit(-2e-12) == -2e-12  # beyond the window: left for the checks

@@ -165,6 +165,13 @@ def test_wootters_rejects_wrong_dimension():
         wootters_concurrence(DensityMatrix(2, np.eye(2) / 2))
 
 
+def test_wootters_rejects_an_eigenvalue_below_the_floor():
+    # Hermitian and unit trace, so DensityMatrix accepts it; positivity is checked here
+    rho = DensityMatrix(4, np.diag([0.5, 0.3, 0.3, -0.1]).astype(complex))
+    with pytest.raises(ValueError, match="below the floor"):
+        wootters_concurrence(rho)
+
+
 def test_two_level_internal_cross_oracle():
     # closed form, eigenvalue route, and 2|rho_03| must all agree
     for seed in range(8):
@@ -440,7 +447,7 @@ def _matrix_with_defect(n, seed, part, mode):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.sampled_from([1, 4, 31, 32, 33, 64, 65, 130, 289]),
+    st.sampled_from([1, 2, 4, 31, 32, 33, 64, 65, 130, 289]),
     st.integers(min_value=0, max_value=2**32 - 1),
     st.one_of(
         st.sampled_from([0.5, 1 / 1.5, 0.7, 2 ** -0.5, 0.8, 1.0, 1.2]),

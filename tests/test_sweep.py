@@ -22,6 +22,7 @@ from spinshield import (
 from spinshield.sweep import (
     DEFAULT_TWO_S_GRID,
     MemoryBudgetError,
+    SweepPoint,
     _mix64,
     check_memory_budget,
     trial_peak_bytes,
@@ -202,6 +203,41 @@ def test_run_sweep_error_in_a_chunk_names_the_global_trial(monkeypatch, workers)
     assert "injected failure" in str(err.value)
 
 
+def test_crosscheck_reads_each_trial_once_for_every_n(monkeypatch):
+    # the engine reads the 4 trials of both two_s once; the crosscheck of
+    # two_s = 2 reads each of its 4 trials once more, for all 3 n
+    original = sweep_mod.trial_rng
+    keys = []
+
+    def counting(master_seed, two_s, trial):
+        keys.append((two_s, trial))
+        return original(master_seed, two_s, trial)
+
+    monkeypatch.setattr(sweep_mod, "trial_rng", counting)
+    run_sweep(SweepConfig(two_s_values=(2, 10), n_values=(1, 2, 3), trials=4), workers=1)
+    assert len(keys) == 12
+    assert sorted(keys) == sorted([(2, t) for t in range(1, 5)] * 2 + [(10, t) for t in range(1, 5)])
+
+
+def test_crosscheck_failure_at_a_later_n_names_that_n(monkeypatch):
+    # C is lowered by 1e-6 for the second n only: trial 1 passes its
+    # crosscheck at n = 1 and fails it at n = 2
+    original = sweep_mod.closedform._from_sums
+    calls = []
+
+    def low_c(x_sums, y_sums, w3, w4):
+        c, tau, slack = original(x_sums, y_sums, w3, w4)
+        calls.append(None)
+        return (c - 1e-6 if len(calls) == 2 else c), tau, slack
+
+    monkeypatch.setattr(sweep_mod.closedform, "_from_sums", low_c)
+    config = SweepConfig(two_s_values=(2,), n_values=(1, 2), trials=3)
+    with pytest.raises(SweepError) as err:
+        run_sweep(config, workers=1)
+    assert (err.value.two_s, err.value.n, err.value.trial) == (2, 2, 1)
+    assert "closed form disagrees with oracle" in str(err.value)
+
+
 def test_run_sweep_skips_crosscheck_above_gate():
     # identical results with the crosscheck disabled prove the closed form
     # alone feeds the statistics
@@ -232,6 +268,23 @@ def test_inset_gap_nonincreasing_on_default_grid():
         assert len(rises) <= 1, f"n={n}: {rises}"
         for _, rise, se in rises:
             assert rise < se
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("mean_c", 1.5, "must lie in"),
+        ("mean_tau", -0.1, "must lie in"),
+        ("std_gap", -1e-20, "nonnegative"),
+        ("min_monogamy_slack", -1e-20, "monogamy violated"),
+    ],
+)
+def test_sweep_point_refuses_out_of_range_statistics(field, value, message):
+    point = dict(two_s=2, n=1, trials=2, mean_c=0.5, std_c=0.1, mean_tau=0.6, std_tau=0.1,
+                 mean_gap=-0.1, std_gap=0.1, mean_abs_gap=0.1, min_monogamy_slack=0.05)
+    SweepPoint(**point)
+    with pytest.raises(ValueError, match=message):
+        SweepPoint(**{**point, field: value})
 
 
 def test_sweep_error_is_picklable():
@@ -458,6 +511,14 @@ def test_memory_budget_compares_draws_times_processes_with_physical_memory(monke
     # a platform that does not report its memory refuses nothing
     monkeypatch.setattr(sweep_mod, "_physical_memory_bytes", lambda: None)
     check_memory_budget(SpinDims(10**20), 64)
+
+
+def test_physical_memory_is_unknown_where_sysconf_raises(monkeypatch):
+    def no_sysconf(name):
+        raise OSError(f"{name} not supported")
+
+    monkeypatch.setattr(sweep_mod.os, "sysconf", no_sysconf)
+    assert sweep_mod._physical_memory_bytes() is None
 
 
 def test_run_sweep_refuses_a_draw_beyond_physical_memory_before_any_trial(monkeypatch):
