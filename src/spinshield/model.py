@@ -177,7 +177,11 @@ class CoefficientSet:
 
     def scaled(self, t: float) -> "CoefficientSet":
         """The same draw with every perturbation multiplied by ``t``."""
-        return CoefficientSet(self.dims, self.c, t * self.x, t * self.y)
+        x, y = t * self.x, t * self.y
+        # fresh products, frozen so that the new set adopts them without a copy
+        x.setflags(write=False)
+        y.setflags(write=False)
+        return CoefficientSet(self.dims, self.c, x, y)
 
 
 @dataclass(frozen=True)

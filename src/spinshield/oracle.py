@@ -5,7 +5,9 @@ closed forms in :mod:`spinshield.closedform`: assemble the state, trace out
 subsystems, and compute concurrence and one-tangle from the reduced density
 matrices.  The dense route is gated to apparatus dimensions
 ``m_a * m_b <= 4096``; it exists to validate the closed forms, which are the
-ones that scale.
+ones that scale.  :func:`reduce` materializes the matrix it returns; the
+apparatus check forms the m_a m_b x m_a m_b matrix of the two spins one
+32-row strip at a time and never stores it.
 """
 
 from __future__ import annotations
@@ -42,9 +44,9 @@ _HERMITIAN_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _EIGENVALUE_FLOOR = -1e-10
 
-# Height of the row strips the two O(n^2) tolerance checks walk: a 32-row
-# strip of a 1089 x 1089 complex matrix (557 KB) stays in L2, and a
-# transposed read of 32 rows reuses each cache line it loads.
+# Height of the row strips every O(n^2) check walks: a 32-row strip of a
+# 1089 x 1089 complex matrix (557 KB) stays in L2, and a transposed read of
+# 32 rows reuses each cache line it loads.
 _STRIP = 32
 
 # Device level -> two-qubit product state: d=1 -> |01>, d=2 -> |10>,
@@ -65,11 +67,6 @@ _SIGMA_YY = np.array(
     ],
     dtype=np.float64,
 )
-
-
-def _hermitian_deviation(e: np.ndarray) -> float:
-    """max |e - e^H| over all entries (NaN if any entry is NaN)."""
-    return float(np.abs(e - e.conj().T).max())
 
 
 def _within_tol(d: np.ndarray, tol: float) -> bool:
@@ -96,36 +93,60 @@ def _within_tol(d: np.ndarray, tol: float) -> bool:
     return bool(np.max(np.abs(d)) <= tol)
 
 
-def _is_hermitian(e: np.ndarray, tol: float) -> bool:
-    """Exactly ``_hermitian_deviation(e) <= tol``, decided one row strip at a time.
+def _matrix_strips(e: np.ndarray):
+    """(i, e[i:i+32, i:], e[i:, i:i+32]) for each 32-row strip of a square matrix, as views."""
+    for i in range(0, e.shape[0], _STRIP):
+        yield i, e[i:i + _STRIP, i:], e[i:, i:i + _STRIP]
 
-    Strip i holds e[i:, s] - conj(e[s, i:])^T for the rows s = i..i+31,
-    which covers every entry on and below the diagonal (the deviation above
-    it has the same modulus).  The conjugated block is written in row order
-    into one work buffer shared by all strips, so the transposed read walks
-    32 rows at a time and nothing is allocated per strip.
+
+def _product_strips(k: np.ndarray):
+    """The strips of :func:`_matrix_strips` for rho = k k^H, never storing rho.
+
+    Each block is one BLAS product into a work buffer that the next strip
+    reuses, so the caller may overwrite a strip's blocks.
     """
-    n = e.shape[0]
-    buf = np.empty(n * min(n, _STRIP), dtype=e.dtype)
+    n = k.shape[0]
+    k_h = k.conj().T
+    upper_buf, lower_buf = np.empty((2, n * min(n, _STRIP)), dtype=np.complex128)
     for i in range(0, n, _STRIP):
-        lower = e[i:, i:i + _STRIP]
-        d = buf[:lower.size].reshape(lower.shape)
-        np.conjugate(e[i:i + _STRIP, i:].T, out=d)
-        np.subtract(lower, d, out=d)
-        if not _within_tol(d, tol):
-            return False
-    return True
+        j = min(i + _STRIP, n)
+        size = (j - i) * (n - i)
+        upper = np.matmul(k[i:j], k_h[:, i:], out=upper_buf[:size].reshape(j - i, n - i))
+        lower = np.matmul(k[i:], k_h[:, i:j], out=lower_buf[:size].reshape(n - i, j - i))
+        yield i, upper, lower
 
 
-def _invalid(arr: np.ndarray, message: str) -> ValueError:
-    """The error for a failed tolerance check, naming non-finite entries as the cause.
-
-    Every check is written ``not dev <= tol``, so a NaN or inf entry fails it;
-    the finiteness pass runs only then, to pick the message.
-    """
-    if not np.isfinite(arr).all():
+def _not_hermitian(strips) -> ValueError:
+    """DensityMatrix's error for a non-Hermitian matrix (a deviation is finite iff its pair is)."""
+    devs = [np.abs(lower - upper.conj().T).max() for _, upper, lower in strips]
+    if not np.isfinite(devs).all():
         return ValueError("array entries must be finite")
-    return ValueError(message)
+    return ValueError(f"matrix is not Hermitian (max deviation {max(devs):.3e})")
+
+
+def _checked_strips(strips, n: int):
+    """Yield the strips of an n x n matrix as DensityMatrix's checks pass on each.
+
+    Strip i decides Hermiticity from lower - conj(upper)^T, every pair (r, c)
+    and (c, r) with c in the strip and r >= i, conjugated in row order into
+    one buffer.  ``strips`` returns a fresh iterator, walked again to word a
+    failure.  A pass leaves every entry finite, so the trace, summed as
+    ``trace()`` sums it, needs no finiteness test.  inf - inf makes a NaN
+    deviation, which fails; the caller silences that warning.
+    """
+    buf = np.empty(n * min(n, _STRIP), dtype=np.complex128)
+    diag = np.empty(n, dtype=np.complex128)
+    for i, upper, lower in strips():
+        d = buf[:lower.size].reshape(lower.shape)
+        np.conjugate(upper.T, out=d)
+        np.subtract(lower, d, out=d)
+        if not _within_tol(d, _HERMITIAN_TOL):
+            raise _not_hermitian(strips())
+        diag[i:i + upper.shape[0]] = upper.diagonal()
+        yield i, upper, lower
+    trace_dev = abs(complex(diag.sum()) - 1.0)
+    if not trace_dev <= _TRACE_TOL:
+        raise ValueError(f"trace deviates from 1 by {trace_dev:.3e}")
 
 
 @dataclass(frozen=True)
@@ -146,7 +167,10 @@ class PureState:
         amp = _frozen_array(self.amp, (4, self.dims.m_a, self.dims.m_b))
         norm_sq = float(np.sum(_abs2(amp)))
         if not abs(norm_sq - 1.0) <= 1e-12:
-            raise _invalid(amp, f"state norm^2 deviates from 1 by {norm_sq - 1.0:.3e}")
+            # a NaN or inf entry fails the test above; only then is it looked for
+            if not np.isfinite(amp).all():
+                raise ValueError("array entries must be finite")
+            raise ValueError(f"state norm^2 deviates from 1 by {norm_sq - 1.0:.3e}")
         object.__setattr__(self, "amp", amp)
 
 
@@ -168,14 +192,9 @@ class DensityMatrix:
 
     def __post_init__(self):
         entries = _frozen_array(self.entries, (self.dim, self.dim))
-        # inf - inf makes a NaN deviation, which fails the check; it must not warn
         with np.errstate(invalid="ignore"):
-            if not _is_hermitian(entries, _HERMITIAN_TOL):
-                herm_dev = _hermitian_deviation(entries)
-                raise _invalid(entries, f"matrix is not Hermitian (max deviation {herm_dev:.3e})")
-        trace_dev = abs(complex(entries.trace()) - 1.0)
-        if not trace_dev <= _TRACE_TOL:
-            raise _invalid(entries, f"trace deviates from 1 by {trace_dev:.3e}")
+            for _ in _checked_strips(lambda: _matrix_strips(entries), self.dim):
+                pass
         object.__setattr__(self, "entries", entries)
 
     def min_eigenvalue(self) -> float:
@@ -255,13 +274,14 @@ def separability_structure_check(cs: CoefficientSet, tol: float = 1e-10) -> bool
     (1 + x[d]) column, |b_d> likewise, and p_d = |c_d|^2 X_d Y_d / N^2.
     Returns True iff it matches the partial trace entrywise within ``tol``.
 
-    The mixture is W W^H, where column d of the factor W is
-    sqrt(p_d) |a_d> (x) |b_d>.  The residual W W^H - rho_M is formed 32 rows
-    at a time, so no full-size temporary is allocated, and each strip is
-    decided exactly by its real and imaginary parts (a NaN fails it); the
-    first failing strip ends the check.
+    With rho_M = K K^H (K: the state's nonzero device rows as columns) and
+    W W^H (column d of W: sqrt(p_d) |a_d> (x) |b_d>), one pass over 32-row
+    strips of rho_M stores no m_a m_b x m_a m_b matrix: each strip passes
+    DensityMatrix's checks (or raises its error), then the residual is
+    decided exactly by its parts on both blocks, until a strip fails it.
     """
-    rho_m = reduce(assemble_state(cs), "M").entries
+    amp = assemble_state(cs).amp.reshape(4, -1)
+    k = amp[amp.any(axis=1)].T
     n_sq = _norm_squared(cs)
     columns = []
     for d in range(4):
@@ -275,10 +295,16 @@ def separability_structure_check(cs: CoefficientSet, tol: float = 1e-10) -> bool
         v = np.kron(av / np.sqrt(xd), bv / np.sqrt(yd))
         columns.append(np.sqrt(w * xd * yd / n_sq) * v)
     factor = np.stack(columns, axis=1)
+    real = not factor.imag.any()
+    factor = np.ascontiguousarray(factor.real) if real else factor
     factor_h = factor.conj().T
-    for i in range(0, factor.shape[0], _STRIP):
-        residual = factor[i:i + _STRIP] @ factor_h
-        residual -= rho_m[i:i + _STRIP]
-        if not _within_tol(residual, tol):
-            return False
-    return True
+    separable = True
+    with np.errstate(invalid="ignore"):
+        for i, upper, lower in _checked_strips(lambda: _product_strips(k), k.shape[0]):
+            if separable:
+                # a real W W^H leaves the imaginary parts as they are
+                upper_part, lower_part = (upper.real, lower.real) if real else (upper, lower)
+                upper_part -= factor[i:i + _STRIP] @ factor_h[:, i:]
+                lower_part -= factor[i:] @ factor_h[:, i:i + _STRIP]
+                separable = _within_tol(upper, tol) and _within_tol(lower, tol)
+    return separable

@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +168,24 @@ def test_scaled_multiplies_perturbations_only():
     np.testing.assert_array_equal(half.x, 0.5 * cs.x)
     np.testing.assert_array_equal(half.y, 0.5 * cs.y)
     np.testing.assert_array_equal(half.c, cs.c)
+
+
+def test_scaled_adopts_its_products_without_a_copy():
+    cs = random_set(seed=3, two_s_a=20000, x_max=0.5)
+    tracemalloc.start()
+    try:
+        half = cs.scaled(0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert half.x.flags.owndata and not half.x.flags.writeable
+    assert half.y.flags.owndata and not half.y.flags.writeable
+    # the two products; a copy of each would double the peak
+    assert peak < 1.5 * (half.x.nbytes + half.y.nbytes)
+    for t in (np.nan, np.inf):
+        # inf * 0 is NaN, with a floating-point warning
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="array entries must be finite"):
+            cs.scaled(t)
 
 
 # ---------------------------------------------------------------------------

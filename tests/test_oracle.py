@@ -1,4 +1,4 @@
-from types import SimpleNamespace
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from spinshield import (
     separability_structure_check,
     wootters_concurrence,
 )
-from spinshield import oracle
+from spinshield import model, oracle
 from util import BELL_C, bell_set, random_c, random_set, worked_example
 
 BELL_PROJECTOR = np.zeros((4, 4), dtype=complex)
@@ -235,103 +235,174 @@ def test_separability_random_sets(seed, two_s_a, two_s_b, complex_mode):
     assert separability_structure_check(cs, 1e-10)
 
 
+def _separability_residual(cs):
+    """(max |W W^H - rho_M|, max |rho_M|) from the materialized partial trace and the full mixture."""
+    rho = reduce(assemble_state(cs), "M").entries
+    n_sq = model._norm_squared(cs)
+    columns = []
+    for d in range(4):
+        av, bv = 1.0 + cs.x[d], 1.0 + cs.y[d]
+        xd, yd = float(np.sum(np.abs(av) ** 2)), float(np.sum(np.abs(bv) ** 2))
+        v = np.kron(av / np.sqrt(xd), bv / np.sqrt(yd))
+        columns.append(np.sqrt(abs(cs.c[d]) ** 2 * xd * yd / n_sq) * v)
+    w = np.stack(columns, axis=1)
+    return float(np.max(np.abs(w @ w.conj().T - rho))), float(np.max(np.abs(rho)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=12),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([1e-10, 1e-16]),
+)
+def test_separability_verdict_matches_the_materialized_residual(
+    seed, two_s_a, two_s_b, complex_mode, four_level, tol
+):
+    if four_level:
+        v = np.random.Generator(np.random.PCG64(seed + 1)).standard_normal(8).view(complex)
+        c = tuple(v / np.linalg.norm(v))
+    else:
+        c = random_c(seed + 1)
+    cs = random_set(seed, two_s_a, two_s_b, x_max=0.5, c=c, complex_mode=complex_mode)
+    residual, scale = _separability_residual(cs)
+    # the strip pass and the whole-matrix products round differently, by up
+    # to about 2 ulp of the largest entry; a residual that close to tol may
+    # go either way
+    if abs(residual - tol) > 4 * np.finfo(float).eps * scale:
+        assert separability_structure_check(cs, tol) == (residual <= tol)
+
+
+def test_separability_check_never_stores_the_apparatus_matrix():
+    cs = random_set(3, 31, 31, x_max=0.5, c=random_c(4), complex_mode=True)
+    assert cs.dims.m_a * cs.dims.m_b == 1024
+    tracemalloc.start()
+    try:
+        assert separability_structure_check(cs, 1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # rho_M alone takes 1024**2 * 16 bytes = 16.8 MB
+    assert peak < 4e6
+
+
+def _apply(e, i, faults, put):
+    """Add (or, with put, write) each fault at its rho_M position to block e, whose entry [0, 0] is rho_M[i, i]."""
+    for (r, c), value in faults.items():
+        if 0 <= r - i < e.shape[0] and 0 <= c - i < e.shape[1]:
+            e[r - i, c - i] = value if put else e[r - i, c - i] + value
+
+
+def _inject(monkeypatch, faults, put=False):
+    """Give the separability pass strips of rho_M that carry the faults in every block holding them."""
+    product_strips = oracle._product_strips
+
+    def faulty_strips(k):
+        for i, upper, lower in product_strips(k):
+            _apply(upper, i, faults, put)
+            _apply(lower, i, faults, put)
+            yield i, upper, lower
+
+    monkeypatch.setattr(oracle, "_product_strips", faulty_strips)
+
+
+def _faulty_rho_m(cs, faults, put=False):
+    """The materialized rho_M with the same faults."""
+    entries = reduce(assemble_state(cs), "M").entries.copy()
+    _apply(entries, 0, faults, put)
+    return entries
+
+
+def _hermitian_bump(row, col, delta):
+    return {(row, col): delta, (col, row): np.conj(delta)}
+
+
+# m_a m_b = 289 is not a multiple of the 32-row strip: the short last strip
+# holds row and column 288 only
+CS_289 = random_set(5, 16, 16, x_max=0.5, c=random_c(6), complex_mode=True)
+
+
 @pytest.mark.parametrize("scale, expected", [(10.0, False), (0.1, True)])
 def test_separability_detects_a_perturbed_partial_trace(monkeypatch, scale, expected):
     tol = 1e-10
-    cs = random_set(5, 3, 2, x_max=0.5, c=random_c(6), complex_mode=True)
-    assert separability_structure_check(cs, tol)
-    real_reduce = oracle.reduce
-    delta = scale * tol * np.exp(0.3j)
-
-    def reduce_with_hermitian_bump(state, keep):
-        rho = real_reduce(state, keep)
-        if keep != "M":
-            return rho
-        entries = rho.entries.copy()
-        entries[0, 1] += delta
-        entries[1, 0] += np.conj(delta)
-        return DensityMatrix(rho.dim, entries)
-
-    monkeypatch.setattr(oracle, "reduce", reduce_with_hermitian_bump)
-    assert separability_structure_check(cs, tol) is expected
+    assert separability_structure_check(CS_289, tol)
+    # (0, 1) and (1, 0) lie in the upper and lower blocks of the first strip
+    _inject(monkeypatch, _hermitian_bump(0, 1, scale * tol * np.exp(0.3j)))
+    assert separability_structure_check(CS_289, tol) is expected
 
 
 @pytest.mark.parametrize("scale, expected", [(10.0, False), (0.1, True)])
 def test_separability_detects_a_bump_in_the_last_row_strip(monkeypatch, scale, expected):
-    # m_a m_b = 289 is not a multiple of the 64-row strip; rows 287 and 288
-    # both fall in the short last strip
-    tol = 1e-10
-    cs = random_set(5, 16, 16, x_max=0.5, c=random_c(6), complex_mode=True)
-    assert cs.dims.m_a * cs.dims.m_b == 289
-    assert separability_structure_check(cs, tol)
-    real_reduce = oracle.reduce
+    # a real bump of the diagonal entry (288, 288), the whole short last strip,
+    # must keep the trace within 1e-12, hence the small tol.  (288, 287) and
+    # (287, 288) lie in the lower and upper blocks of the strip before it; a
+    # bump of one of them alone stays within the Hermiticity tolerance
+    tol = 1e-14
+    assert CS_289.dims.m_a * CS_289.dims.m_b == 289
+    assert separability_structure_check(CS_289, tol)
     delta = scale * tol * np.exp(0.7j)
-
-    def reduce_with_hermitian_bump(state, keep):
-        rho = real_reduce(state, keep)
-        if keep != "M":
-            return rho
-        entries = rho.entries.copy()
-        entries[288, 287] += delta
-        entries[287, 288] += np.conj(delta)
-        return DensityMatrix(rho.dim, entries)
-
-    monkeypatch.setattr(oracle, "reduce", reduce_with_hermitian_bump)
-    assert separability_structure_check(cs, tol) is expected
+    for faults in (
+        {(288, 288): scale * tol},
+        _hermitian_bump(288, 287, delta),
+        {(288, 287): delta},
+        {(287, 288): delta},
+    ):
+        with monkeypatch.context() as m:
+            _inject(m, faults)
+            assert separability_structure_check(CS_289, tol) is expected
 
 
 def test_separability_fails_on_nan_in_partial_trace(monkeypatch):
-    # the NaN sits in the second of five row strips, so a maximum that
+    # (100, 40) lies in the lower block of the second strip, so a maximum that
     # skipped NaN would miss it
-    cs = random_set(5, 16, 16, x_max=0.5, c=random_c(6), complex_mode=True)
-    real_reduce = oracle.reduce
-
-    def reduce_with_nan(state, keep):
-        entries = real_reduce(state, keep).entries.copy()
-        entries[100, 5] = np.nan
-        return SimpleNamespace(dim=entries.shape[0], entries=entries)
-
-    monkeypatch.setattr(oracle, "reduce", reduce_with_nan)
-    assert separability_structure_check(cs, 1e-10) is False
+    _inject(monkeypatch, {(100, 40): np.nan}, put=True)
+    with pytest.raises(ValueError, match="finite"):
+        separability_structure_check(CS_289, 1e-10)
 
 
 @pytest.mark.parametrize("part, expected", [(0.8, False), (0.7, True)])
 def test_separability_decides_a_bump_inside_the_band_exactly(monkeypatch, part, expected):
     # both parts of the bump lie in the band [tol / 1.5, tol], so neither
     # decides alone: the modulus sqrt(2) * part * tol is 1.13 tol (fails) or
-    # 0.99 tol (passes); rows 200 and 100 lie in the seventh and fourth strips
+    # 0.99 tol (passes); (100, 200) and (200, 100) lie in the upper and lower
+    # blocks of the fourth strip
     tol = 1e-10
-    cs = random_set(5, 16, 16, x_max=0.5, c=random_c(6), complex_mode=True)
-    real_reduce = oracle.reduce
-    delta = part * tol * (1 + 1j)
-
-    def reduce_with_hermitian_bump(state, keep):
-        rho = real_reduce(state, keep)
-        if keep != "M":
-            return rho
-        entries = rho.entries.copy()
-        entries[200, 100] += delta
-        entries[100, 200] += np.conj(delta)
-        return DensityMatrix(rho.dim, entries)
-
-    monkeypatch.setattr(oracle, "reduce", reduce_with_hermitian_bump)
-    assert separability_structure_check(cs, tol) is expected
+    _inject(monkeypatch, _hermitian_bump(200, 100, part * tol * (1 + 1j)))
+    assert separability_structure_check(CS_289, tol) is expected
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, -np.inf)])
 def test_non_finite_entry_after_the_first_strip_fails_both_checks(monkeypatch, value):
-    cs = random_set(5, 16, 16, x_max=0.5, c=random_c(6), complex_mode=True)
-    entries = reduce(assemble_state(cs), "M").entries.copy()
-    # row 200, column 100: the fourth strip of the Hermiticity check, the
-    # seventh of the separability residual
-    entries[200, 100] = value
+    # row 200, column 100: the lower block of the fourth strip
+    faults = {(200, 100): value}
+    entries = _faulty_rho_m(CS_289, faults, put=True)
     with pytest.raises(ValueError, match="finite"):
         DensityMatrix(entries.shape[0], entries)
-    monkeypatch.setattr(
-        oracle, "reduce",
-        lambda state, keep: SimpleNamespace(dim=entries.shape[0], entries=entries),
-    )
-    assert separability_structure_check(cs, 1e-10) is False
+    _inject(monkeypatch, faults, put=True)
+    with pytest.raises(ValueError, match="finite"):
+        separability_structure_check(CS_289, 1e-10)
+
+
+@pytest.mark.parametrize(
+    "faults, message",
+    [
+        ({(200, 100): 1e-9}, "not Hermitian"),
+        ({(150, 160): 1e-9j, (160, 150): 1e-9j}, "not Hermitian"),
+        ({(5, 5): 1e-11}, "trace deviates"),
+        # a residual failure in the first strip does not hide a later one
+        ({(0, 1): 1e-6, (1, 0): 1e-6, (288, 288): 1e-11}, "trace deviates"),
+    ],
+)
+def test_separability_raises_the_density_matrix_error(monkeypatch, faults, message):
+    entries = _faulty_rho_m(CS_289, faults)
+    with pytest.raises(ValueError, match=message) as expected:
+        DensityMatrix(entries.shape[0], entries)
+    _inject(monkeypatch, faults)
+    with pytest.raises(ValueError) as raised:
+        separability_structure_check(CS_289, 1e-10)
+    assert str(raised.value) == str(expected.value)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +530,7 @@ def test_hermiticity_check_is_exact_around_the_band(n, seed, part, mode):
     # parts below, inside and above the band [tol / 1.5, tol]; "equal" puts
     # |re| = |im|, where the modulus is sqrt(2) times each part
     e = _matrix_with_defect(n, seed, part, mode)
-    if oracle._hermitian_deviation(e) <= 1e-12:
+    if np.abs(e - e.conj().T).max() <= 1e-12:
         assert DensityMatrix(n, e).dim == n
     else:
         with pytest.raises(ValueError, match="not Hermitian"):
