@@ -295,16 +295,12 @@ def separability_structure_check(cs: CoefficientSet, tol: float = 1e-10) -> bool
         v = np.kron(av / np.sqrt(xd), bv / np.sqrt(yd))
         columns.append(np.sqrt(w * xd * yd / n_sq) * v)
     factor = np.stack(columns, axis=1)
-    real = not factor.imag.any()
-    factor = np.ascontiguousarray(factor.real) if real else factor
     factor_h = factor.conj().T
     separable = True
     with np.errstate(invalid="ignore"):
         for i, upper, lower in _checked_strips(lambda: _product_strips(k), k.shape[0]):
             if separable:
-                # a real W W^H leaves the imaginary parts as they are
-                upper_part, lower_part = (upper.real, lower.real) if real else (upper, lower)
-                upper_part -= factor[i:i + _STRIP] @ factor_h[:, i:]
-                lower_part -= factor[i:] @ factor_h[:, i:i + _STRIP]
+                upper -= factor[i:i + _STRIP] @ factor_h[:, i:]
+                lower -= factor[i:] @ factor_h[:, i:i + _STRIP]
                 separable = _within_tol(upper, tol) and _within_tol(lower, tol)
     return separable
