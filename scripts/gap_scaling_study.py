@@ -13,9 +13,8 @@ import numpy as np
 
 from spinshield import (
     SpinDims,
-    concurrence_closed,
+    evaluate,
     first_order_expansion,
-    monogamy_slack,
     sample_coefficients,
     trial_rng,
     x_max_schedule,
@@ -37,8 +36,8 @@ def study(two_s: int, draws: int, seed: int) -> None:
         previous = None
         for t in scales:
             scaled = cs.scaled(t)
-            c = concurrence_closed(scaled)
-            gap = monogamy_slack(scaled)
+            report = evaluate(scaled)
+            c, gap = report.concurrence, report.monogamy_slack
             t1 = first_order_expansion(scaled)
             ratio = f"{gap / previous:8.3f}" if previous else "       -"
             print(f"  {t:>10.5f} {gap:>12.3e} {ratio} {abs(c * c - t1):>12.3e}")

@@ -2,81 +2,26 @@
 
 Closed-form concurrence and one-tangle for near-product joint states, a
 dense density-matrix oracle that validates them, and a reproducible Monte
-Carlo sweep over the spin size.
+Carlo sweep over the spin size.  The package exports what the command line,
+the scripts and the library example use; the rest lives in
+:mod:`spinshield.model`, :mod:`spinshield.closedform`,
+:mod:`spinshield.oracle` and :mod:`spinshield.sweep`.
 """
 
-from .model import (
-    CoefficientSet,
-    DegenerateStateError,
-    DeviceModeError,
-    EntanglementReport,
-    SpinDims,
-    normalization,
-    sample_coefficients,
-    x_max_schedule,
-)
-from .closedform import (
-    BranchSums,
-    branch_sums,
-    concurrence_closed,
-    evaluate,
-    first_order_expansion,
-    monogamy_slack,
-    one_tangle_closed,
-)
-from .oracle import (
-    ORACLE_MAX_DIM,
-    DensityMatrix,
-    PureState,
-    assemble_state,
-    one_tangle,
-    reduce,
-    separability_structure_check,
-    wootters_concurrence,
-)
-from .sweep import (
-    DEFAULT_TWO_S_GRID,
-    SweepConfig,
-    SweepError,
-    SweepPoint,
-    run_sweep,
-    summarize,
-    trial_rng,
-    trial_seed,
-)
+from .model import SpinDims, sample_coefficients, x_max_schedule
+from .closedform import branch_sums, evaluate, first_order_expansion
+from .sweep import SweepConfig, run_sweep, trial_rng
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchSums",
-    "CoefficientSet",
-    "DEFAULT_TWO_S_GRID",
-    "DegenerateStateError",
-    "DensityMatrix",
-    "DeviceModeError",
-    "EntanglementReport",
-    "ORACLE_MAX_DIM",
-    "PureState",
     "SpinDims",
     "SweepConfig",
-    "SweepError",
-    "SweepPoint",
-    "assemble_state",
     "branch_sums",
-    "concurrence_closed",
     "evaluate",
     "first_order_expansion",
-    "monogamy_slack",
-    "normalization",
-    "one_tangle",
-    "one_tangle_closed",
-    "reduce",
     "run_sweep",
     "sample_coefficients",
-    "separability_structure_check",
-    "summarize",
     "trial_rng",
-    "trial_seed",
-    "wootters_concurrence",
     "x_max_schedule",
 ]

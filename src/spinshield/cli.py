@@ -26,9 +26,9 @@ from .sweep import (
     SweepConfig,
     SweepPoint,
     check_memory_budget,
+    check_sweep_memory,
     run_sweep,
     trial_rng,
-    worker_processes,
 )
 
 WORKERS_ENV = "SPINSHIELD_WORKERS"
@@ -288,7 +288,7 @@ def _write(path: Path, text: str) -> bytes:
 def cmd_sweep(args) -> int:
     config = _resolve_sweep_config(args)
     workers = _workers_from_env()
-    check_memory_budget(SpinDims(config.two_s_values[-1]), worker_processes(config, workers))
+    check_sweep_memory(config, workers)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -327,13 +327,13 @@ def _check_monogamy(cs, tol: float) -> bool:
 def _check_oracle_concurrence(cs, tol: float) -> bool:
     state = oracle.assemble_state(cs)
     c_oracle = oracle.wootters_concurrence(oracle.reduce(state, "D"))
-    return abs(closedform.concurrence_closed(cs) - c_oracle) <= tol
+    return abs(closedform.evaluate(cs).concurrence - c_oracle) <= tol
 
 
 def _check_oracle_tangle(cs, tol: float) -> bool:
     state = oracle.assemble_state(cs)
     tau_oracle = oracle.one_tangle(oracle.reduce(state, "Q1"))
-    return abs(closedform.one_tangle_closed(cs) - tau_oracle) <= tol
+    return abs(closedform.evaluate(cs).one_tangle - tau_oracle) <= tol
 
 
 def _check_symmetry(cs, tol: float) -> bool:
@@ -351,7 +351,7 @@ def _check_quadratic_gap(cs, tol: float) -> bool:
     # the gap is quadratic in the perturbation scale: each halving must cut it
     # to at most 0.4 of its value (ideally 0.25)
     g1, g2, g3 = (
-        abs(closedform.monogamy_slack(cs.scaled(t))) for t in (0.125, 0.0625, 0.03125)
+        abs(closedform.evaluate(cs.scaled(t)).monogamy_slack) for t in (0.125, 0.0625, 0.03125)
     )
     return g2 <= 0.4 * g1 and g3 <= 0.4 * g2
 

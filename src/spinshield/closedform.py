@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CoefficientSet, DeviceModeError, EntanglementReport, _clamp_unit
+from .model import (
+    CoefficientSet,
+    DeviceModeError,
+    EntanglementReport,
+    _clamp_unit,
+    _raise_failed,
+    _report_checks,
+)
 
 __all__ = [
     "BranchSums",
@@ -52,15 +59,9 @@ class BranchSums:
     GY: float
 
     def __post_init__(self):
-        for pair, sums in (
-            ("X", (self.X3, self.X4, self.X34, self.GX)),
-            ("Y", (self.Y3, self.Y4, self.Y34, self.GY)),
-        ):
-            if _inconsistent(*sums):
-                raise ValueError(
-                    f"{pair} sums are inconsistent: |{pair}34|^2 must not exceed "
-                    f"{pair}3*{pair}4 and G{pair} must be nonnegative"
-                )
+        _raise_failed(_sum_checks(
+            (self.X3, self.X4, self.X34, self.GX), (self.Y3, self.Y4, self.Y34, self.GY)
+        ))
 
 
 def _require_two_level(cs: CoefficientSet) -> None:
@@ -84,10 +85,23 @@ def _modulus(z) -> tuple:
     return pairs.T.reshape((2, *z.shape))
 
 
-def _inconsistent(s3, s4, s34, g):
-    """True where |S34|**2 exceeds S3 S4 beyond rounding, or where G is negative or NaN."""
-    # g != g holds only for a NaN, and costs no numpy call on a float
-    return (_modulus(s34)[1] > s3 * s4 * (1.0 + 1e-12) + 1e-300) | (g < 0.0) | (g != g)
+def _sum_checks(x_sums, y_sums) -> tuple:
+    """BranchSums' checks as (holds, message, None) rows, one per side.
+
+    A side's sums hold, on floats or entrywise on stacks, where |S34|**2
+    does not exceed S3 S4 beyond rounding and G is nonnegative (a NaN G
+    fails).  The rows of :func:`~spinshield.model._report_checks` follow
+    them in :func:`_first_failure`.
+    """
+    return tuple(
+        (
+            np.logical_not(_modulus(s34)[1] > s3 * s4 * (1.0 + 1e-12) + 1e-300) & (g >= 0.0),
+            f"{pair} sums are inconsistent: |{pair}34|^2 must not exceed "
+            f"{pair}3*{pair}4 and G{pair} must be nonnegative",
+            None,
+        )
+        for pair, (s3, s4, s34, g) in (("X", x_sums), ("Y", y_sums))
+    )
 
 
 def _complex(re, im):
@@ -193,28 +207,21 @@ def _from_sums(x_sums, y_sums, w3: float, w4: float) -> tuple:
     return c, tau, 4.0 * w * w * gram / (n_sq * n_sq)
 
 
-def _first_failure(x_sums, y_sums, c, tau, slack) -> tuple[int, ValueError] | None:
-    """The first draw of a stack that fails a check, with the error its checks raise.
+def _first_failure(x_sums, y_sums, c, tau, slack) -> tuple[int, str] | None:
+    """(i, message) for the first draw of a stack that fails a check; None when every draw passes.
 
-    A draw fails where its sums are inconsistent (:class:`BranchSums`) or
-    its measures leave [0, 1] or give a negative or NaN slack
-    (:class:`EntanglementReport`); None when every draw passes.
+    The checks are the rows of :class:`BranchSums` and then of
+    :class:`EntanglementReport`, and the message is the one that building
+    those types from draw i's values raises.
     """
-    bad = (
-        _inconsistent(*x_sums) | _inconsistent(*y_sums)
-        | ~((0.0 <= c) & (c <= 1.0)) | ~((0.0 <= tau) & (tau <= 1.0)) | ~(slack >= 0.0)
-    )
+    rows = (*_sum_checks(x_sums, y_sums), *_report_checks(c, tau, slack))
+    fails = np.logical_not([holds for holds, _, _ in rows])  # (check, draw)
+    bad = fails.any(axis=0)
     if not bad.any():
         return None
     i = int(np.argmax(bad))
-    X3, X4, X34, GX = (v[i].item() for v in x_sums)
-    Y3, Y4, Y34, GY = (v[i].item() for v in y_sums)
-    try:
-        BranchSums(X3=X3, X4=X4, Y3=Y3, Y4=Y4, X34=X34, Y34=Y34, GX=GX, GY=GY)
-        EntanglementReport(c[i].item(), tau[i].item(), slack[i].item())
-    except ValueError as exc:
-        return i, exc
-    raise AssertionError(f"draw {i} fails the array checks but passes the scalar ones")
+    _, message, value = rows[int(np.argmax(fails[:, i]))]
+    return i, message.format(None if value is None else value[i].item())
 
 
 def _rows_of(matrix: np.ndarray) -> np.ndarray:
@@ -231,42 +238,36 @@ def branch_sums(cs: CoefficientSet) -> BranchSums:
     return BranchSums(X3=X3, X4=X4, Y3=Y3, Y4=Y4, X34=X34, Y34=Y34, GX=GX, GY=GY)
 
 
-def _measures(cs: CoefficientSet) -> tuple[float, float, float]:
-    """(concurrence, one-tangle, monogamy slack) of one draw, from one pass over the sums."""
+def evaluate(cs: CoefficientSet) -> EntanglementReport:
+    """Both measures of one draw and their exact slack, from a single pass over the sums."""
     bs = branch_sums(cs)
-    c, tau, slack = _from_sums(
+    return EntanglementReport(*_from_sums(
         (bs.X3, bs.X4, bs.X34, bs.GX), (bs.Y3, bs.Y4, bs.Y34, bs.GY),
         *(abs(c) for c in cs.c[2:].tolist()),
-    )
-    return c, tau, slack
+    ))
 
 
 def concurrence_closed(cs: CoefficientSet) -> float:
-    """Internal concurrence of the qubit pair, max{0, 2|c3 c4| |X34 Y34| / N^2}."""
-    return _measures(cs)[0]
+    """Internal concurrence of the qubit pair, max{0, 2|c3 c4| |X34 Y34| / N^2}: evaluate's read-out."""
+    return evaluate(cs).concurrence
 
 
 def one_tangle_closed(cs: CoefficientSet) -> float:
-    """One-tangle of either qubit, 4|c3 c4|^2 X3 X4 Y3 Y4 / N^4.
+    """One-tangle of either qubit, 4|c3 c4|^2 X3 X4 Y3 Y4 / N^4: evaluate's read-out.
 
     The same value describes both qubits; the configuration is symmetric
     under swapping them.
     """
-    return _measures(cs)[1]
+    return evaluate(cs).one_tangle
 
 
 def monogamy_slack(cs: CoefficientSet) -> float:
-    """one_tangle - concurrence**2, as a sum of nonnegative terms (never below 0).
+    """one_tangle - concurrence**2, as a sum of nonnegative terms (never below 0): evaluate's read-out.
 
     4 |c3 c4|^2 (GX GY + GX |Y34|^2 + GY |X34|^2) / N^4, with GX and GY the
     Gram determinants of :class:`BranchSums`.
     """
-    return _measures(cs)[2]
-
-
-def evaluate(cs: CoefficientSet) -> EntanglementReport:
-    """Both measures of one draw and their exact slack, from a single pass over the sums."""
-    return EntanglementReport(*_measures(cs))
+    return evaluate(cs).monogamy_slack
 
 
 def first_order_expansion(cs: CoefficientSet) -> float:

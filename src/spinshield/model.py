@@ -184,6 +184,26 @@ class CoefficientSet:
         return CoefficientSet(self.dims, self.c, x, y)
 
 
+def _report_checks(c, tau, slack) -> tuple:
+    """EntanglementReport's checks as (holds, message, value) rows.
+
+    Each row holds on floats, or entrywise on stacks of draws; its message
+    formats the value that failed.  A NaN fails every row it reaches.
+    """
+    return (
+        ((0.0 <= c) & (c <= 1.0), "concurrence out of [0,1]: {!r}", c),
+        ((0.0 <= tau) & (tau <= 1.0), "one_tangle out of [0,1]: {!r}", tau),
+        (slack >= 0.0, "monogamy violated: slack = {!r}", slack),
+    )
+
+
+def _raise_failed(rows) -> None:
+    """Raise the ValueError of the first of a draw's check rows that does not hold."""
+    for holds, message, value in rows:
+        if not holds:
+            raise ValueError(message.format(value))
+
+
 @dataclass(frozen=True)
 class EntanglementReport:
     """Concurrence and one-tangle of a single draw, with their monogamy slack.
@@ -197,12 +217,7 @@ class EntanglementReport:
     monogamy_slack: float
 
     def __post_init__(self):
-        if not 0.0 <= self.concurrence <= 1.0:
-            raise ValueError(f"concurrence out of [0,1]: {self.concurrence!r}")
-        if not 0.0 <= self.one_tangle <= 1.0:
-            raise ValueError(f"one_tangle out of [0,1]: {self.one_tangle!r}")
-        if not self.monogamy_slack >= 0.0:
-            raise ValueError(f"monogamy violated: slack = {self.monogamy_slack!r}")
+        _raise_failed(_report_checks(self.concurrence, self.one_tangle, self.monogamy_slack))
 
     @property
     def gap(self) -> float:
@@ -268,16 +283,22 @@ def sample_coefficients(
     return CoefficientSet(dims, c, x, y)
 
 
-def _norm_squared(cs: CoefficientSet) -> float:
-    total = 0.0
+def _level_sums(cs: CoefficientSet) -> tuple[list, float]:
+    """([(d, |c_d|^2, X_d, Y_d) for each populated level d], N**2) from one pass.
+
+    X_d = sum_alpha |1 + x[d,alpha]|^2 and Y_d likewise; N**2 sums
+    |c_d|^2 X_d Y_d in level order.
+    """
+    levels, total = [], 0.0
     for d in range(4):
         w = abs(cs.c[d]) ** 2
         if w == 0.0:
             continue
         xd = float(_abs2(1.0 + cs.x[d]).sum())
         yd = float(_abs2(1.0 + cs.y[d]).sum())
+        levels.append((d, w, xd, yd))
         total += w * xd * yd
-    return total
+    return levels, total
 
 
 def normalization(cs: CoefficientSet) -> float:
@@ -286,7 +307,7 @@ def normalization(cs: CoefficientSet) -> float:
     N**2 = sum_d |c_d|^2 * (sum_alpha |1 + x[d,alpha]|^2)
                          * (sum_beta |1 + y[d,beta]|^2).
     """
-    n_sq = _norm_squared(cs)
+    n_sq = _level_sums(cs)[1]
     if n_sq <= 0.0:
         raise DegenerateStateError("all device weights vanish; state cannot be normalized")
     return math.sqrt(n_sq)

@@ -23,7 +23,7 @@ from .model import (
     _abs2,
     _clamp_unit,
     _frozen_array,
-    _norm_squared,
+    _level_sums,
     normalization,
 )
 
@@ -282,18 +282,12 @@ def separability_structure_check(cs: CoefficientSet, tol: float = 1e-10) -> bool
     """
     amp = assemble_state(cs).amp.reshape(4, -1)
     k = amp[amp.any(axis=1)].T
-    n_sq = _norm_squared(cs)
-    columns = []
-    for d in range(4):
-        w = abs(cs.c[d]) ** 2
-        if w == 0.0:
-            continue
-        av = 1.0 + cs.x[d]
-        bv = 1.0 + cs.y[d]
-        xd = float(_abs2(av).sum())
-        yd = float(_abs2(bv).sum())
-        v = np.kron(av / np.sqrt(xd), bv / np.sqrt(yd))
-        columns.append(np.sqrt(w * xd * yd / n_sq) * v)
+    levels, n_sq = _level_sums(cs)
+    columns = [
+        np.sqrt(w * xd * yd / n_sq)
+        * np.kron((1.0 + cs.x[d]) / np.sqrt(xd), (1.0 + cs.y[d]) / np.sqrt(yd))
+        for d, w, xd, yd in levels
+    ]
     factor = np.stack(columns, axis=1)
     factor_h = factor.conj().T
     separable = True

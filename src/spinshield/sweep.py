@@ -32,6 +32,7 @@ __all__ = [
     "trial_peak_bytes",
     "worker_processes",
     "check_memory_budget",
+    "check_sweep_memory",
     "trial_seed",
     "trial_rng",
     "summarize",
@@ -86,8 +87,12 @@ class SweepError(RuntimeError):
 
 
 class MemoryBudgetError(ValueError):
-    """A run whose batches of draws, one per worker process, would not fit in physical memory."""
+    """A run whose batches of draws, one per worker process, and result rows cannot fit in physical memory."""
 
+
+# A (C, tau, slack) result row is 24 bytes, held twice by run_sweep: in its
+# task's array and in its two_s's concatenation of the task arrays.
+_ROW_BYTES = 2 * 3 * 8
 
 # A task's batch of trials holds at most this many bytes, unless a single
 # trial needs more: at two_s = 100000 one trial needs 16.0 MB, so a batch
@@ -132,21 +137,32 @@ def _physical_memory_bytes() -> int | None:
     return page * pages if page > 0 and pages > 0 else None
 
 
-def check_memory_budget(dims: SpinDims, processes: int = 1) -> None:
-    """Raise MemoryBudgetError if ``processes`` workers' batches at ``dims`` cannot fit in memory at once."""
+def check_memory_budget(dims: SpinDims, processes: int = 1, rows: int = 0) -> None:
+    """Raise MemoryBudgetError if what a run holds at once cannot fit in physical memory.
+
+    That is one batch of draws at ``dims`` on each of ``processes`` workers,
+    and ``rows`` result rows, each counted twice (see _ROW_BYTES).
+    """
     per_worker = trial_peak_bytes(dims)
     physical = _physical_memory_bytes()
-    if physical is not None and per_worker * processes > physical:
+    if physical is not None and per_worker * processes + _ROW_BYTES * rows > physical:
         from decimal import Decimal  # exact for any int, where a float would overflow
 
         def gb(n: int) -> str:
             return f"{Decimal(n) / 10**9:.3g}"
 
+        result_rows = f", and {gb(_ROW_BYTES * rows)} GB for {rows} result rows" if rows else ""
         raise MemoryBudgetError(
             f"a draw at m_a = {dims.m_a}, m_b = {dims.m_b} needs up to {gb(per_worker)} GB "
-            f"per worker process, {gb(per_worker * processes)} GB for {processes}, "
+            f"per worker process, {gb(per_worker * processes)} GB for {processes}{result_rows}, "
             f"more than the {gb(physical)} GB of physical memory"
         )
+
+
+def check_sweep_memory(config: SweepConfig, workers: int | None = None) -> None:
+    """check_memory_budget for ``run_sweep(config, workers)``: its largest draws and every result row."""
+    rows = len(config.two_s_values) * len(config.n_values) * config.trials
+    check_memory_budget(SpinDims(config.two_s_values[-1]), worker_processes(config, workers), rows)
 
 
 @dataclass(frozen=True)
@@ -350,8 +366,8 @@ def _task_rows(config: SweepConfig, two_s: int, first: int, stop: int) -> np.nda
             measures = closedform._from_sums(x_sums, y_sums, w3, w4)
             failure = closedform._first_failure(x_sums, y_sums, *measures)
             if failure is not None:
-                i, exc = failure
-                raise SweepError(two_s, n, lo + i, str(exc)) from exc
+                i, message = failure
+                raise SweepError(two_s, n, lo + i, message)
             out[j, lo - first:hi - first] = np.stack(measures, axis=-1)
     if dims.m_a * dims.m_b <= config.oracle_crosscheck_max_dim:
         for trial in range(first, stop):
@@ -397,12 +413,12 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> list[SweepPoin
     only from (master_seed, two_s, trial), and each point is aggregated from
     its rows in trial order.  Any failed trial aborts the sweep with a
     SweepError naming its coordinates; trials are never silently skipped.  A
-    sweep whose largest batch of draws, once per worker process, exceeds
-    physical memory raises MemoryBudgetError before any trial runs.
+    sweep whose largest batch of draws, once per worker process, and result
+    rows exceed physical memory raises MemoryBudgetError before any trial runs.
     """
     workers = _resolve_workers(workers)
     processes = worker_processes(config, workers)
-    check_memory_budget(SpinDims(config.two_s_values[-1]), processes)
+    check_sweep_memory(config, workers)
     chunks = _chunks(config, workers)
     bounds = [1 + config.trials * i // chunks for i in range(chunks + 1)]
     tasks = [(config, two_s, lo, hi) for two_s in config.two_s_values for lo, hi in zip(bounds, bounds[1:])]

@@ -9,26 +9,23 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from spinshield import (
-    SpinDims,
-    SweepConfig,
-    assemble_state,
+from spinshield.model import SpinDims, sample_coefficients, x_max_schedule
+from spinshield.closedform import (
     concurrence_closed,
     first_order_expansion,
     monogamy_slack,
-    one_tangle,
     one_tangle_closed,
-    reduce,
-    run_sweep,
-    sample_coefficients,
-    separability_structure_check,
-    trial_rng,
-    wootters_concurrence,
-    x_max_schedule,
 )
+from spinshield.oracle import (
+    assemble_state,
+    one_tangle,
+    reduce,
+    separability_structure_check,
+    wootters_concurrence,
+)
+from spinshield.sweep import DEFAULT_TWO_S_GRID, SweepConfig, run_sweep, trial_rng
 from spinshield import closedform
 from spinshield.cli import main as cli_main
-from spinshield.sweep import DEFAULT_TWO_S_GRID
 from util import BELL_C, bell_set
 
 

@@ -291,6 +291,22 @@ def test_sweep_draw_beyond_physical_memory_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_rows_beyond_physical_memory_are_usage_error(tmp_path, capsys, monkeypatch):
+    # 10**8 trials of m = 3 need 4.2 MB of draws but 14.4 GB of result rows;
+    # the refusal comes from the estimate alone, and the sweep never starts
+    monkeypatch.setattr("spinshield.sweep._physical_memory_bytes", lambda: 8 * 10**9)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    out = tmp_path / "rows"
+    assert run_cli(["sweep", "--two-s", "2", "--trials", str(10**8), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "result rows" in err and "physical memory" in err
+    assert not out.exists()
+
+
 def test_sweep_missing_config_file_is_usage_error(tmp_path, capsys):
     out = tmp_path / "r"
     assert run_cli(["sweep", "--config", str(tmp_path / "absent.cfg"), "--out", str(out)]) == 2
@@ -408,15 +424,16 @@ def test_verify_impossible_tolerance_fails(capsys):
 
 
 @pytest.mark.parametrize(
-    "family, name, fake",
+    "family, fake",
     [
-        ("monogamy", "evaluate", lambda cs: SimpleNamespace(monogamy_slack=-1.0, one_tangle=0.5)),
-        ("quadratic-gap", "monogamy_slack", lambda cs: 1.0),
+        ("monogamy", lambda cs: SimpleNamespace(monogamy_slack=-1.0, one_tangle=0.5)),
+        # a slack that never shrinks with the perturbation scale
+        ("quadratic-gap", lambda cs: SimpleNamespace(concurrence=0.0, one_tangle=1.0, monogamy_slack=1.0)),
     ],
     ids=["monogamy", "quadratic-gap"],
 )
-def test_verify_forced_failure_prints_fail_and_exits_1(capsys, monkeypatch, family, name, fake):
-    monkeypatch.setattr(cli.closedform, name, fake)
+def test_verify_forced_failure_prints_fail_and_exits_1(capsys, monkeypatch, family, fake):
+    monkeypatch.setattr(cli.closedform, "evaluate", fake)
     assert run_cli(["verify", "--cases", "2", "--two-s-max", "2"]) == 1
     captured = capsys.readouterr()
     assert f"FAIL {family}: case=1 two_s=1" in captured.err
@@ -425,13 +442,14 @@ def test_verify_forced_failure_prints_fail_and_exits_1(capsys, monkeypatch, fami
 
 
 def test_verify_check_that_raises_fails_its_case_and_the_others_run(capsys, monkeypatch):
-    # a negative slack makes EntanglementReport refuse the draw with a ValueError
-    measures = cli.closedform._measures
-    monkeypatch.setattr(cli.closedform, "_measures", lambda cs: (*measures(cs)[:2], -1e-3))
+    # a negative slack makes EntanglementReport refuse the draw with a ValueError,
+    # in every family that calls evaluate; symmetry and separability never do
+    from_sums = cli.closedform._from_sums
+    monkeypatch.setattr(cli.closedform, "_from_sums", lambda *a: (*from_sums(*a)[:2], -1e-3))
     assert run_cli(["verify", "--cases", "2", "--two-s-max", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out.splitlines() == [
-        "monogamy: 0/2", "oracle-concurrence: 2/2", "oracle-tangle: 2/2",
+        "monogamy: 0/2", "oracle-concurrence: 0/2", "oracle-tangle: 0/2",
         "symmetry: 2/2", "separability: 2/2", "quadratic-gap: 0/2",
     ]
     assert ("FAIL monogamy: case=1 two_s=1 x_max=0.5 seed=0: "

@@ -5,26 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinshield import (
-    BranchSums,
+from spinshield import closedform
+from spinshield.model import (
     CoefficientSet,
     DeviceModeError,
+    EntanglementReport,
     SpinDims,
-    SweepConfig,
-    assemble_state,
+    sample_coefficients,
+    x_max_schedule,
+)
+from spinshield.closedform import (
+    BranchSums,
     branch_sums,
     concurrence_closed,
     evaluate,
     first_order_expansion,
     monogamy_slack,
-    one_tangle,
     one_tangle_closed,
-    reduce,
-    sample_coefficients,
-    trial_rng,
-    wootters_concurrence,
-    x_max_schedule,
 )
+from spinshield.oracle import assemble_state, one_tangle, reduce, wootters_concurrence
+from spinshield.sweep import SweepConfig, trial_rng
 from util import BELL_C, bell_set, random_c, random_set, worked_example
 
 # frozen expectations for the worked example (independently derivable by
@@ -213,6 +213,40 @@ def test_evaluate_bundles_both_measures():
     assert report.concurrence == concurrence_closed(cs)
     assert report.one_tangle == one_tangle_closed(cs)
     assert report.gap == -report.monogamy_slack
+
+
+# ---------------------------------------------------------------------------
+# the check table: one set of rows for the scalar types and for stacks
+
+
+@pytest.mark.parametrize(
+    "part, k, value, message",
+    [
+        ("x", 3, -1.0, "X sums are inconsistent"),  # GX < 0
+        ("y", 2, 5.0 + 0j, "Y sums are inconsistent"),  # |Y34|^2 = 25 > Y3 Y4 = 19.7
+        ("m", 0, 1.5, "concurrence out of [0,1]: 1.5"),
+        ("m", 1, np.nan, "one_tangle out of [0,1]: nan"),
+        ("m", 2, -1e-3, "monogamy violated: slack = -0.001"),
+    ],
+    ids=["X sums", "Y sums", "C range", "tau range", "slack sign"],
+)
+def test_first_failure_is_the_scalar_types_error_at_the_draw(part, k, value, message):
+    rng = np.random.default_rng(5)
+    x_sums = closedform._side_sums(0.1 * rng.random((5, 2, 4)))
+    y_sums = closedform._side_sums(0.1 * rng.random((5, 2, 4)))
+    measures = closedform._from_sums(x_sums, y_sums, 0.6, 0.8)
+    assert closedform._first_failure(x_sums, y_sums, *measures) is None
+    # draw 2 fails the check, and so does draw 4; the first of them is reported
+    column = {"x": x_sums, "y": y_sums, "m": measures}[part][k]
+    column[2] = column[4] = value
+
+    X3, X4, X34, GX = (v[2].item() for v in x_sums)
+    Y3, Y4, Y34, GY = (v[2].item() for v in y_sums)
+    with pytest.raises(ValueError) as err:
+        BranchSums(X3=X3, X4=X4, Y3=Y3, Y4=Y4, X34=X34, Y34=Y34, GX=GX, GY=GY)
+        EntanglementReport(*(v[2].item() for v in measures))
+    assert str(err.value).startswith(message)
+    assert closedform._first_failure(x_sums, y_sums, *measures) == (2, str(err.value))
 
 
 # ---------------------------------------------------------------------------

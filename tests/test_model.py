@@ -7,18 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinshield import (
+from spinshield.model import (
     CoefficientSet,
     DegenerateStateError,
     EntanglementReport,
     SpinDims,
-    assemble_state,
-    concurrence_closed,
     normalization,
     sample_coefficients,
+    _clamp_unit,
     x_max_schedule,
 )
-from spinshield.model import _clamp_unit
+from spinshield.closedform import concurrence_closed
+from spinshield.oracle import assemble_state
 from util import BELL_C, bell_set, random_set, worked_example
 
 

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinshield import (
-    CoefficientSet,
+from spinshield.model import CoefficientSet, SpinDims
+from spinshield.closedform import concurrence_closed
+from spinshield.oracle import (
     DensityMatrix,
     ORACLE_MAX_DIM,
     PureState,
-    SpinDims,
     assemble_state,
-    concurrence_closed,
     one_tangle,
     reduce,
     separability_structure_check,
@@ -238,7 +237,7 @@ def test_separability_random_sets(seed, two_s_a, two_s_b, complex_mode):
 def _separability_residual(cs):
     """(max |W W^H - rho_M|, max |rho_M|) from the materialized partial trace and the full mixture."""
     rho = reduce(assemble_state(cs), "M").entries
-    n_sq = model._norm_squared(cs)
+    n_sq = model._level_sums(cs)[1]
     columns = []
     for d in range(4):
         av, bv = 1.0 + cs.x[d], 1.0 + cs.y[d]

@@ -1,4 +1,4 @@
-"""Smoke tests for the example scripts: each runs to the end and exits 0."""
+"""Smoke tests for the example scripts and the README's library example: each runs to the end."""
 
 import os
 import subprocess
@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import spinshield
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -34,3 +36,14 @@ def test_script_runs_to_its_last_line(tmp_path, name, args, last_line):
     proc = _run_script(name, *(a.format(tmp=out) for a in args))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1].strip().startswith(last_line.format(tmp=out))
+
+
+def test_readme_library_example_runs_and_every_export_resolves():
+    text = (ROOT / "README.md").read_text()
+    code = text.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["report"].monogamy_slack >= 0.0
+    assert len(namespace["points"]) == 27
+    for name in spinshield.__all__:
+        assert getattr(spinshield, name) is not None, name

@@ -6,26 +6,23 @@ import numpy as np
 import pytest
 
 import spinshield.sweep as sweep_mod
-from spinshield import (
-    ORACLE_MAX_DIM,
-    SpinDims,
-    SweepConfig,
-    SweepError,
-    evaluate,
-    run_sweep,
-    sample_coefficients,
-    summarize,
-    trial_rng,
-    trial_seed,
-    x_max_schedule,
-)
+from spinshield.model import SpinDims, sample_coefficients, x_max_schedule
+from spinshield.closedform import evaluate
+from spinshield.oracle import ORACLE_MAX_DIM
 from spinshield.sweep import (
     DEFAULT_TWO_S_GRID,
     MemoryBudgetError,
+    SweepConfig,
+    SweepError,
     SweepPoint,
     _mix64,
     check_memory_budget,
+    check_sweep_memory,
+    run_sweep,
+    summarize,
     trial_peak_bytes,
+    trial_rng,
+    trial_seed,
     worker_processes,
 )
 
@@ -511,6 +508,20 @@ def test_memory_budget_compares_draws_times_processes_with_physical_memory(monke
     # a platform that does not report its memory refuses nothing
     monkeypatch.setattr(sweep_mod, "_physical_memory_bytes", lambda: None)
     check_memory_budget(SpinDims(10**20), 64)
+
+
+def test_memory_budget_counts_every_result_row_twice(monkeypatch):
+    # 3 * 10**8 rows of 24 bytes, each held by its task and in its two_s's
+    # concatenation: 14.4 GB, where one batch of draws needs 4.2 MB
+    config = SweepConfig(two_s_values=(2,), trials=10**8)
+    dims = SpinDims(2)
+    rows_bytes = 2 * 24 * 3 * 10**8
+    monkeypatch.setattr(sweep_mod, "_physical_memory_bytes", lambda: trial_peak_bytes(dims) + rows_bytes)
+    check_sweep_memory(config, workers=1)
+    check_memory_budget(dims, 1, 3 * 10**8)
+    monkeypatch.setattr(sweep_mod, "_physical_memory_bytes", lambda: trial_peak_bytes(dims) + rows_bytes - 1)
+    with pytest.raises(MemoryBudgetError, match="14.4 GB for 300000000 result rows"):
+        check_sweep_memory(config, workers=1)
 
 
 def test_physical_memory_is_unknown_where_sysconf_raises(monkeypatch):

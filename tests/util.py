@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from spinshield import CoefficientSet, SpinDims, sample_coefficients
+from spinshield.model import CoefficientSet, SpinDims, sample_coefficients
 
 BELL_C = (0, 0, 1 / np.sqrt(2), 1 / np.sqrt(2))
 
