@@ -24,17 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "DegenerateStateError",
-    "DeviceModeError",
-    "SpinDims",
-    "CoefficientSet",
-    "EntanglementReport",
-    "x_max_schedule",
-    "sample_coefficients",
-    "normalization",
-]
-
 _C_NORM_TOL = 1e-12
 _UNIT_CLAMP = 1e-12
 

@@ -22,23 +22,6 @@ import numpy as np
 from . import closedform, oracle
 from .model import SpinDims, _check_unit_norm, _is_integer, sample_coefficients, x_max_schedule
 
-__all__ = [
-    "DEFAULT_TWO_S_GRID",
-    "ORACLE_CROSSCHECK_TOL",
-    "SweepConfig",
-    "SweepPoint",
-    "SweepError",
-    "MemoryBudgetError",
-    "trial_peak_bytes",
-    "worker_processes",
-    "check_memory_budget",
-    "check_sweep_memory",
-    "trial_seed",
-    "trial_rng",
-    "summarize",
-    "run_sweep",
-]
-
 DEFAULT_TWO_S_GRID = (2, 4, 10, 20, 40, 100, 200, 400, 1000)
 DEFAULT_C = (0j, 0j, complex(1.0 / np.sqrt(2.0)), complex(1.0 / np.sqrt(2.0)))
 
@@ -211,6 +194,8 @@ class SweepConfig:
         object.__setattr__(self, "master_seed", int(self.master_seed))
         object.__setattr__(self, "n_values", tuple(sorted(set(int(v) for v in self.n_values))))
         object.__setattr__(self, "c", c)
+        # the grid's smallest bound must be a positive float64, checked before any work
+        x_max_schedule(self.two_s_values[-1], self.n_values[-1])
 
 
 @dataclass(frozen=True)
@@ -232,7 +217,7 @@ class SweepPoint:
     def __post_init__(self):
         if not 0.0 <= self.mean_c <= 1.0 or not 0.0 <= self.mean_tau <= 1.0:
             raise ValueError("mean concurrence and one-tangle must lie in [0, 1]")
-        if min(self.std_c, self.std_tau, self.std_gap) < 0.0:
+        if not all(s >= 0.0 for s in (self.std_c, self.std_tau, self.std_gap)):
             raise ValueError("standard deviations must be nonnegative")
         if not self.min_monogamy_slack >= 0.0:
             raise ValueError(f"monogamy violated: min slack {self.min_monogamy_slack!r}")

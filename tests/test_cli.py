@@ -307,6 +307,22 @@ def test_sweep_rows_beyond_physical_memory_are_usage_error(tmp_path, capsys, mon
     assert not out.exists()
 
 
+def test_sweep_underflowing_bound_is_usage_error_without_memory_report(tmp_path, capsys, monkeypatch):
+    # with no physical-memory figure nothing refuses the draw's size, and
+    # 1 / (2 S**3) underflows at two_s = 2**1100: the config refuses it first
+    monkeypatch.setattr("spinshield.sweep._physical_memory_bytes", lambda: None)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    out = tmp_path / "tiny"
+    assert run_cli(["sweep", "--two-s", str(2**1100), "--n", "3", "--trials", "1",
+                    "--out", str(out)]) == 2
+    assert "two_s of 1101 bits: 1 / (2 S**3) underflows to 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_missing_config_file_is_usage_error(tmp_path, capsys):
     out = tmp_path / "r"
     assert run_cli(["sweep", "--config", str(tmp_path / "absent.cfg"), "--out", str(out)]) == 2
@@ -420,13 +436,15 @@ def test_verify_impossible_tolerance_fails(capsys):
     assert run_cli(["verify", "--cases", "3", "--tol", "1e-30"]) == 1
     captured = capsys.readouterr()
     assert "FAIL" in captured.err
+    assert "FAIL monogamy: " in captured.err  # tau - C**2 and the slack differ in rounding
     assert "case=" in captured.err and "two_s=" in captured.err
 
 
 @pytest.mark.parametrize(
     "family, fake",
     [
-        ("monogamy", lambda cs: SimpleNamespace(monogamy_slack=-1.0, one_tangle=0.5)),
+        # a slack that is not tau - C**2 = 0.25
+        ("monogamy", lambda cs: SimpleNamespace(concurrence=0.5, one_tangle=0.5, monogamy_slack=0.0)),
         # a slack that never shrinks with the perturbation scale
         ("quadratic-gap", lambda cs: SimpleNamespace(concurrence=0.0, one_tangle=1.0, monogamy_slack=1.0)),
     ],
@@ -456,6 +474,32 @@ def test_verify_check_that_raises_fails_its_case_and_the_others_run(capsys, monk
             "monogamy violated: slack = -0.001") in captured.err.splitlines()
     assert "FAIL monogamy: case=2 two_s=2" in captured.err
     assert "error:" not in captured.err
+
+
+def test_verify_monogamy_checks_the_slack_against_tau_minus_c_squared(capsys, monkeypatch):
+    # a slack offset by 1e-6 still passes evaluate's sign check and leaves C
+    # and tau alone: only the monogamy family sees it
+    from_sums = cli.closedform._from_sums
+
+    def offset(*args):
+        c, tau, slack = from_sums(*args)
+        return c, tau, slack + 1e-6
+
+    monkeypatch.setattr(cli.closedform, "_from_sums", offset)
+    assert run_cli(["verify", "--cases", "3", "--two-s-max", "3"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert "monogamy: 0/3" in lines
+    assert "oracle-concurrence: 3/3" in lines and "oracle-tangle: 3/3" in lines
+    assert "FAIL monogamy: case=1 two_s=1 x_max=0.5 seed=0" in captured.err.splitlines()
+
+
+def test_verify_separability_family_reads_the_oracle_when_called(capsys, monkeypatch):
+    # the family looks the check up on the oracle module at each call
+    monkeypatch.setattr("spinshield.oracle.separability_structure_check", lambda cs, tol: False)
+    assert run_cli(["verify", "--cases", "2", "--two-s-max", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if not line.endswith(" 2/2")] == ["separability: 0/2"]
 
 
 def test_verify_two_s_max_gate():

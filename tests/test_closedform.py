@@ -227,8 +227,16 @@ def test_evaluate_bundles_both_measures():
         ("m", 0, 1.5, "concurrence out of [0,1]: 1.5"),
         ("m", 1, np.nan, "one_tangle out of [0,1]: nan"),
         ("m", 2, -1e-3, "monogamy violated: slack = -0.001"),
+        # a NaN fails every check it reaches
+        ("x", 0, np.nan, "X sums are inconsistent"),  # X3
+        ("x", 1, np.nan, "X sums are inconsistent"),  # X4
+        ("y", 2, complex(np.nan, 0.0), "Y sums are inconsistent"),  # Y34
+        ("y", 3, np.nan, "Y sums are inconsistent"),  # GY
+        ("m", 0, np.nan, "concurrence out of [0,1]: nan"),
+        ("m", 2, np.nan, "monogamy violated: slack = nan"),
     ],
-    ids=["X sums", "Y sums", "C range", "tau range", "slack sign"],
+    ids=["X sums", "Y sums", "C range", "tau range", "slack sign",
+         "X3 NaN", "X4 NaN", "Y34 NaN", "GY NaN", "C NaN", "slack NaN"],
 )
 def test_first_failure_is_the_scalar_types_error_at_the_draw(part, k, value, message):
     rng = np.random.default_rng(5)
@@ -247,6 +255,15 @@ def test_first_failure_is_the_scalar_types_error_at_the_draw(part, k, value, mes
         EntanglementReport(*(v[2].item() for v in measures))
     assert str(err.value).startswith(message)
     assert closedform._first_failure(x_sums, y_sums, *measures) == (2, str(err.value))
+
+
+def test_nan_sums_give_a_nan_concurrence_that_fails_its_range():
+    x_sums = closedform._side_sums(0.1 * np.random.default_rng(6).random((2, 4)))
+    y_sums = (*x_sums[:2], complex(np.nan, 0.0), x_sums[3])
+    c, tau, slack = closedform._from_sums(x_sums, y_sums, 0.6, 0.8)
+    assert np.isnan(c) and np.isnan(slack) and 0.0 < tau <= 1.0
+    with pytest.raises(ValueError, match=r"^concurrence out of \[0,1\]: nan$"):
+        EntanglementReport(c, tau, slack)
 
 
 # ---------------------------------------------------------------------------

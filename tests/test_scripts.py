@@ -1,5 +1,6 @@
 """Smoke tests for the example scripts and the README's library example: each runs to the end."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -47,3 +48,13 @@ def test_readme_library_example_runs_and_every_export_resolves():
     assert len(namespace["points"]) == 27
     for name in spinshield.__all__:
         assert getattr(spinshield, name) is not None, name
+
+
+def test_the_package_all_is_the_one_declared_import_surface():
+    assert spinshield.__all__ == [
+        "SpinDims", "SweepConfig", "branch_sums", "evaluate", "first_order_expansion",
+        "run_sweep", "sample_coefficients", "trial_rng", "x_max_schedule",
+    ]
+    # the submodules declare none; a leading underscore marks their private names
+    for module in ("model", "closedform", "oracle", "sweep", "cli"):
+        assert not hasattr(importlib.import_module(f"spinshield.{module}"), "__all__"), module

@@ -273,6 +273,9 @@ def test_inset_gap_nonincreasing_on_default_grid():
         ("mean_c", 1.5, "must lie in"),
         ("mean_tau", -0.1, "must lie in"),
         ("std_gap", -1e-20, "nonnegative"),
+        ("std_c", np.nan, "nonnegative"),
+        ("std_tau", np.nan, "nonnegative"),
+        ("std_gap", np.nan, "nonnegative"),
         ("min_monogamy_slack", -1e-20, "monogamy violated"),
     ],
 )
@@ -432,6 +435,13 @@ def test_config_accepts_crosscheck_bound_at_oracle_gate():
 def test_config_normalizes_n_order():
     config = SweepConfig(n_values=(3, 1))
     assert config.n_values == (1, 3)
+
+
+def test_config_refuses_a_grid_whose_smallest_bound_underflows():
+    # 1 / (2 S**n) at S = 2**399 is 2**-400 for n = 1, and below float64 for n = 3
+    assert SweepConfig(two_s_values=(2**400,), n_values=(1,)).two_s_values == (2**400,)
+    with pytest.raises(ValueError, match=r"^two_s of 401 bits: 1 / \(2 S\*\*3\) underflows to 0$"):
+        SweepConfig(two_s_values=(2, 2**400), n_values=(3, 1))
 
 
 def test_config_accepts_numpy_integers_as_ints():
