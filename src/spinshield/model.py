@@ -7,8 +7,9 @@ parametrized by near-product amplitudes
     amp(d, alpha, beta) = c_d * (1 + x[d, alpha]) * (1 + y[d, beta]) / N,
 
 where the perturbations ``x``, ``y`` shrink as the spins grow and ``N`` is
-fixed by unit norm.  This module owns the parameter types, the random
-generation used by the Monte Carlo sweeps, and the normalization.
+fixed by unit norm.  This module owns the parameter types, the normalization
+and ``sample_coefficients``, the reference draw of ``single``, ``verify`` and
+the sweep's crosscheck; the sweep engine reads the same streams in its order.
 
 Note on the normalization convention: ``N`` is the unique positive number
 that makes the assembled state a unit vector, which scales like

@@ -254,13 +254,13 @@ class _Draws:
 
     A trial's stream is read in the order of sample_coefficients: rows x3,
     x4, y3, y4, and in complex mode each row's moduli and then its phases.
-    The uniforms u become 1 - u in place, and the phases their factors
-    exp(2 pi i u), once for every n; ``side`` scales them by an n's bound.
+    Each trial is prepared and checked as it is read: its uniforms u become
+    1 - u in place, and its phases the factors exp(2 pi i u), for every n;
+    ``side`` scales them by an n's bound.
     """
 
     def __init__(self, m: int, size: int, complex_mode: bool):
         self.complex_mode = complex_mode
-        self.size = 0
         self.mod = np.empty((size, 4, m))
         if complex_mode:
             self.phase = np.empty((size, 4, m), np.complex128)
@@ -268,38 +268,31 @@ class _Draws:
         self.rows = np.empty((size, 2, m), np.complex128 if complex_mode else np.float64)
 
     def draw(self, t: int, rng: np.random.Generator) -> None:
-        """Read the batch's trial t from its stream."""
-        if not self.complex_mode:
-            rng.random(out=self.mod[t])
-            return
-        u = self.work[0]
-        for row in range(4):
-            rng.random(out=self.mod[t, row])
-            rng.random(out=u)
-            np.multiply(2j * np.pi, u, out=self.phase[t, row])
-
-    def finish(self, size: int) -> np.ndarray:
-        """Form 1 - u and the phase factors of the first ``size`` trials; True where a draw is finite."""
-        self.size = size
-        mod = self.mod[:size]
-        np.subtract(1.0, mod, out=mod)
-        finite = np.isfinite(mod).all(axis=(1, 2))
+        """Read the batch's trial t from its stream and form its 1 - u and phase factors; ValueError unless finite."""
+        mod = self.mod[t]
         if self.complex_mode:
-            phase = self.phase[:size]
-            np.exp(phase, out=phase)
-            finite &= np.isfinite(phase).all(axis=(1, 2))
-        return finite
+            u = self.work[0]
+            for row in range(4):
+                rng.random(out=mod[row])
+                rng.random(out=u)
+                np.multiply(2j * np.pi, u, out=self.phase[t, row])
+            np.exp(self.phase[t], out=self.phase[t])
+        else:
+            rng.random(out=mod)
+        np.subtract(1.0, mod, out=mod)
+        if not np.isfinite(mod).all() or self.complex_mode and not np.isfinite(self.phase[t]).all():
+            raise ValueError("array entries must be finite")
 
-    def side(self, side: int, bound: float) -> np.ndarray:
-        """The (size, 2, m) perturbation rows of side 0 (x) or 1 (y): bound * (1 - u), times the phase factor."""
-        rows = self.rows[:self.size]
-        mod = self.mod[:self.size, 2 * side:2 * side + 2]
+    def side(self, side: int, bound: float, size: int) -> np.ndarray:
+        """Side 0 (x) or 1 (y) of the first ``size`` trials, (size, 2, m): bound * (1 - u), times the phase factor."""
+        rows = self.rows[:size]
+        mod = self.mod[:size, 2 * side:2 * side + 2]
         if not self.complex_mode:
             return np.multiply(mod, bound, out=rows)
-        work = self.work[:self.size]
+        work = self.work[:size]
         for r in range(2):
             np.multiply(mod[:, r], bound, out=work)
-            np.multiply(self.phase[:self.size, 2 * side + r], work, out=rows[:, r])
+            np.multiply(self.phase[:size, 2 * side + r], work, out=rows[:, r])
         return rows
 
 
@@ -341,13 +334,9 @@ def _task_rows(config: SweepConfig, two_s: int, first: int, stop: int) -> np.nda
                 draws.draw(trial - lo, trial_rng(config.master_seed, two_s, trial))
             except Exception as exc:
                 raise SweepError(two_s, config.n_values[0], trial, str(exc)) from exc
-        finite = draws.finish(hi - lo)
-        if not finite.all():
-            trial = lo + int(np.argmin(finite))
-            raise SweepError(two_s, config.n_values[0], trial, "array entries must be finite")
         for j, (n, bound) in enumerate(zip(config.n_values, bounds)):
-            x_sums = closedform._side_sums(draws.side(0, bound))
-            y_sums = closedform._side_sums(draws.side(1, bound))
+            x_sums = closedform._side_sums(draws.side(0, bound, hi - lo))
+            y_sums = closedform._side_sums(draws.side(1, bound, hi - lo))
             measures = closedform._from_sums(x_sums, y_sums, w3, w4)
             failure = closedform._first_failure(x_sums, y_sums, *measures)
             if failure is not None:

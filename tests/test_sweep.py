@@ -52,6 +52,20 @@ def test_trial_rng_streams_are_independent_and_reproducible():
     assert not np.array_equal(a1, b)
 
 
+@pytest.mark.parametrize("master_seed", [0, 1, -1, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("two_s, trial", [(1, 1), (100000, 2**31)])
+def test_trial_rng_is_pcg64_seeded_by_trial_seed(master_seed, two_s, trial):
+    # the seeding contract: the stream is numpy's PCG64 fed the 64-bit trial seed
+    want = np.random.PCG64(trial_seed(master_seed, two_s, trial)).state
+    assert trial_rng(master_seed, two_s, trial).bit_generator.state == want
+
+
+def test_trial_rng_first_uniforms_golden_values():
+    assert [v.hex() for v in trial_rng(0, 2, 1).random(4).tolist()] == [
+        "0x1.a1a4791c69a84p-1", "0x1.7459090e1bf3dp-1", "0x1.b4f7a071f495fp-1", "0x1.357e60da331b4p-3",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # summarize
 
@@ -307,11 +321,10 @@ def test_engine_draw_is_sample_coefficients_for_every_n(two_s, complex_mode):
     draws = sweep_mod._Draws(dims.m_a, len(trials), complex_mode)
     for t, trial in enumerate(trials):
         draws.draw(t, trial_rng(0, two_s, trial))
-    assert draws.finish(len(trials)).all()
     for n in (1, 2, 3):
         x_max = x_max_schedule(two_s, n)
         for side, name in ((0, "x"), (1, "y")):
-            rows = draws.side(side, x_max)
+            rows = draws.side(side, x_max, len(trials))
             assert rows.dtype == (np.complex128 if complex_mode else np.float64)
             for t, trial in enumerate(trials):
                 cs = sample_coefficients(dims, x_max, x_max, c, trial_rng(0, two_s, trial), complex_mode)
@@ -341,6 +354,22 @@ def test_engine_rows_are_evaluate_of_each_draw(complex_mode):
                 assert [v.hex() for v in rows[j, t].tolist()] == [v.hex() for v in want]
 
 
+@pytest.mark.parametrize("complex_mode", [False, True])
+def test_engine_rows_of_a_partial_last_batch_are_evaluate_of_each_draw(complex_mode):
+    # 30 trials at 26 a batch: the second batch fills 4 of the buffers' 26 slots
+    c, two_s = (0, 0, 0.6, 0.8j), 1000
+    assert sweep_mod._batch_trials(SpinDims(two_s)) == 26
+    config = SweepConfig(two_s_values=(two_s,), trials=30, c=c, complex_mode=complex_mode)
+    rows = sweep_mod._task_rows(config, two_s, 1, 31)
+    for j, n in enumerate(config.n_values):
+        x_max = x_max_schedule(two_s, n)
+        for t, trial in enumerate(range(1, 31)):
+            rng = trial_rng(0, two_s, trial)
+            r = evaluate(sample_coefficients(SpinDims(two_s), x_max, x_max, c, rng, complex_mode))
+            want = [r.concurrence, r.one_tangle, r.monogamy_slack]
+            assert [v.hex() for v in rows[j, t].tolist()] == [v.hex() for v in want], (n, trial)
+
+
 def test_engine_failure_names_the_trial_and_n(monkeypatch):
     # a measure that fails its check at one trial of a batch names that trial
     # and the n it was evaluated for
@@ -363,27 +392,37 @@ def test_engine_failure_names_the_trial_and_n(monkeypatch):
     assert "monogamy violated: slack = -0.001" in str(err.value)
 
 
-class _NaNGenerator:
-    """Stands in for a trial's generator and fills every draw with NaN."""
+class _FillGenerator:
+    """Stands in for a trial's generator and fills every draw with one value."""
+
+    def __init__(self, value):
+        self.value = value
 
     def random(self, size=None, out=None):
-        out[...] = np.nan
+        out[...] = self.value
         return out
 
 
-@pytest.mark.parametrize("complex_mode", [False, True])
-def test_engine_non_finite_draw_names_the_trial_and_first_n(monkeypatch, complex_mode):
+@pytest.mark.parametrize("value, complex_mode", [
+    pytest.param(value, mode, id=f"{prefix}{mode}")
+    for prefix, value in (("", np.nan), ("inf-", np.inf), ("-inf-", -np.inf))
+    for mode in (False, True)
+])
+def test_engine_non_finite_draw_names_the_trial_and_first_n(monkeypatch, value, complex_mode):
     original = sweep_mod.trial_rng
 
-    def nan_at_trial_3(master_seed, two_s, trial):
-        return _NaNGenerator() if trial == 3 else original(master_seed, two_s, trial)
+    def fill_at_trial_3(master_seed, two_s, trial):
+        return _FillGenerator(value) if trial == 3 else original(master_seed, two_s, trial)
 
-    monkeypatch.setattr(sweep_mod, "trial_rng", nan_at_trial_3)
+    monkeypatch.setattr(sweep_mod, "trial_rng", fill_at_trial_3)
     config = SweepConfig(two_s_values=(10,), n_values=(2, 3), trials=5, complex_mode=complex_mode)
     with pytest.raises(SweepError) as err:
         run_sweep(config, workers=1)
     assert (err.value.two_s, err.value.n, err.value.trial) == (10, 2, 3)
-    assert "array entries must be finite" in str(err.value)
+    # under -W error::RuntimeWarning a complex +-inf draw fails earlier, in
+    # the phase multiply, with numpy's own message
+    if np.isnan(value):
+        assert "array entries must be finite" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
