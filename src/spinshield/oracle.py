@@ -106,32 +106,28 @@ def _product_strips(k: np.ndarray):
         yield i, upper, lower
 
 
-def _not_hermitian(strips) -> ValueError:
-    """DensityMatrix's error for a non-Hermitian matrix (a deviation is finite iff its pair is)."""
-    devs = [np.abs(lower - upper.conj().T).max() for _, upper, lower in strips]
-    if not np.isfinite(devs).all():
-        return ValueError("array entries must be finite")
-    return ValueError(f"matrix is not Hermitian (max deviation {max(devs):.3e})")
-
-
 def _checked_strips(strips, n: int):
-    """Yield the strips of an n x n matrix as DensityMatrix's checks pass on each.
+    """Walk the strips of an n x n matrix once, yielding each as DensityMatrix's checks pass on it.
 
     Strip i decides Hermiticity from lower - conj(upper)^T, every pair (r, c)
     and (c, r) with c in the strip and r >= i, conjugated in row order into
-    one buffer.  ``strips`` returns a fresh iterator, walked again to word a
-    failure.  A pass leaves every entry finite, so the trace, summed as
-    ``trace()`` sums it, needs no finiteness test.  inf - inf makes a NaN
-    deviation, which fails; the caller silences that warning.
+    one buffer.  The first strip to fail words the error from that buffer.
+    A pass leaves every entry finite, so the trace, summed as ``trace()``
+    sums it, needs no finiteness test.  inf - inf makes a NaN deviation,
+    which fails; the caller silences that warning.
     """
     buf = np.empty(n * min(n, _STRIP), dtype=np.complex128)
     diag = np.empty(n, dtype=np.complex128)
-    for i, upper, lower in strips():
+    for i, upper, lower in strips:
         d = buf[:lower.size].reshape(lower.shape)
         np.conjugate(upper.T, out=d)
         np.subtract(lower, d, out=d)
         if not _within_tol(d, _HERMITIAN_TOL):
-            raise _not_hermitian(strips())
+            dev = np.abs(d).max()
+            if not np.isfinite(dev):
+                raise ValueError("array entries must be finite")
+            at = f" in the strip from row {i}" if n > _STRIP else ""
+            raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e}{at})")
         diag[i:i + upper.shape[0]] = upper.diagonal()
         yield i, upper, lower
     trace_dev = abs(complex(diag.sum()) - 1.0)
@@ -183,7 +179,7 @@ class DensityMatrix:
     def __post_init__(self):
         entries = _frozen_array(self.entries, (self.dim, self.dim))
         with np.errstate(invalid="ignore"):
-            for _ in _checked_strips(lambda: _matrix_strips(entries), self.dim):
+            for _ in _checked_strips(_matrix_strips(entries), self.dim):
                 pass
         object.__setattr__(self, "entries", entries)
 
@@ -282,7 +278,7 @@ def separability_structure_check(cs: CoefficientSet, tol: float = 1e-10) -> bool
     factor_h = factor.conj().T
     separable = True
     with np.errstate(invalid="ignore"):
-        for i, upper, lower in _checked_strips(lambda: _product_strips(k), k.shape[0]):
+        for i, upper, lower in _checked_strips(_product_strips(k), k.shape[0]):
             if separable:
                 upper -= factor[i:i + _STRIP] @ factor_h[:, i:]
                 lower -= factor[i:] @ factor_h[:, i:i + _STRIP]

@@ -1,15 +1,15 @@
 """Monte Carlo protocol: average both measures over many draws per spin size.
 
 For every spin gridpoint and every schedule exponent n the perturbation
-bound is x_max = y_max = 1 / (2 S**n); each trial draws a fresh coefficient
-set and evaluates the closed forms.  Reproducibility contract: the stream
+bound is x_max = y_max = 1 / (2 S**n).  Reproducibility contract: the stream
 for trial t at gridpoint two_s is seeded by splitmix64-mixing the tuple
 (master_seed, two_s, t) and feeds numpy's PCG64, so a given configuration
 produces bitwise-identical results no matter how many workers run it.  The
 trial streams are shared across the exponents n on purpose: every n sees the
 same underlying draws scaled by its own bound, which makes the comparison
 between schedules exact rather than statistical.  The engine reads each
-stream once, into buffers that a task reuses, and evaluates every n from it.
+stream once, into buffers that a task reuses, and evaluates the closed forms
+for every n from it, a batch of trials at a time.
 """
 
 from __future__ import annotations
@@ -254,9 +254,8 @@ class _Draws:
 
     A trial's stream is read in the order of sample_coefficients: rows x3,
     x4, y3, y4, and in complex mode each row's moduli and then its phases.
-    Each trial is prepared and checked as it is read: its uniforms u become
-    1 - u in place, and its phases the factors exp(2 pi i u), for every n;
-    ``side`` scales them by an n's bound.
+    Its uniforms u are checked finite before they become 1 - u in place or
+    the phase factors exp(2 pi i u); ``side`` scales them by an n's bound.
     """
 
     def __init__(self, m: int, size: int, complex_mode: bool):
@@ -275,13 +274,15 @@ class _Draws:
             for row in range(4):
                 rng.random(out=mod[row])
                 rng.random(out=u)
+                if not np.isfinite(u).all():
+                    raise ValueError("array entries must be finite")
                 np.multiply(2j * np.pi, u, out=self.phase[t, row])
             np.exp(self.phase[t], out=self.phase[t])
         else:
             rng.random(out=mod)
-        np.subtract(1.0, mod, out=mod)
-        if not np.isfinite(mod).all() or self.complex_mode and not np.isfinite(self.phase[t]).all():
+        if not np.isfinite(mod).all():
             raise ValueError("array entries must be finite")
+        np.subtract(1.0, mod, out=mod)
 
     def side(self, side: int, bound: float, size: int) -> np.ndarray:
         """Side 0 (x) or 1 (y) of the first ``size`` trials, (size, 2, m): bound * (1 - u), times the phase factor."""

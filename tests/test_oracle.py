@@ -413,6 +413,9 @@ def test_non_finite_entry_after_the_first_strip_fails_both_checks(monkeypatch, v
         ({(5, 5): 1e-11}, "trace deviates"),
         # a residual failure in the first strip does not hide a later one
         ({(0, 1): 1e-6, (1, 0): 1e-6, (288, 288): 1e-11}, "trace deviates"),
+        # the first failing strip words the error: its deviation, not a later one's
+        ({(0, 1): 1e-9, (100, 110): 1e-6}, "from row 0"),
+        ({(0, 1): 1e-9, (100, 110): np.nan}, "not Hermitian"),
     ],
 )
 def test_separability_raises_the_density_matrix_error(monkeypatch, faults, message):
@@ -425,6 +428,59 @@ def test_separability_raises_the_density_matrix_error(monkeypatch, faults, messa
             with pytest.raises(ValueError) as raised:
                 separability_structure_check(cs, 1e-10)
         assert str(raised.value) == str(expected.value)
+
+
+def _counting(monkeypatch, name):
+    """Replace oracle.<name> by a wrapper that counts its calls and the strips they yield."""
+    original = getattr(oracle, name)
+    counts = {"builds": 0, "strips": 0}
+
+    def counted(*args):
+        counts["builds"] += 1
+        for strip in original(*args):
+            counts["strips"] += 1
+            yield strip
+
+    monkeypatch.setattr(oracle, name, counted)
+    return counts
+
+
+def test_a_failing_strip_is_computed_once(monkeypatch):
+    # (100, 200) lies in the upper block of the fourth strip, whose failure
+    # ends the walk: strips 4 .. 9 are never formed, and none is formed twice
+    faults = {(100, 200): 1e-9}
+    for cs in CS_289:
+        with monkeypatch.context() as m:
+            counts = _counting(m, "_product_strips")
+            _inject(m, faults)
+            with pytest.raises(ValueError, match="not Hermitian"):
+                separability_structure_check(cs, 1e-10)
+        assert counts == {"builds": 1, "strips": 4}
+        entries = _faulty_rho_m(cs, faults)
+        with monkeypatch.context() as m:
+            counts = _counting(m, "_matrix_strips")
+            with pytest.raises(ValueError, match="not Hermitian"):
+                DensityMatrix(entries.shape[0], entries)
+        assert counts == {"builds": 1, "strips": 4}
+
+
+@pytest.mark.parametrize(
+    "faults, message",
+    [
+        pytest.param(
+            {(0, 1): 1e-9, (100, 110): 1e-6},
+            r"^matrix is not Hermitian \(max deviation 1\.000e-09 in the strip from row 0\)$",
+            id="bump-then-bump",
+        ),
+        pytest.param({(0, 1): 1e-9, (100, 110): np.nan}, "not Hermitian", id="bump-then-nan"),
+        pytest.param({(0, 1): np.nan, (100, 110): 1e-6}, "^array entries must be finite$", id="nan-then-bump"),
+    ],
+)
+def test_density_matrix_words_the_first_failing_strip(faults, message):
+    m = np.eye(130, dtype=complex) / 130
+    _apply(m, 0, faults, put=False)
+    with pytest.raises(ValueError, match=message):
+        DensityMatrix(130, m)
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +568,14 @@ def test_reductions_are_valid_density_matrices(seed, two_s_a, two_s_b):
 def test_density_matrix_rejects_non_hermitian():
     m = np.eye(2, dtype=complex)
     m[0, 1] = 0.5
-    with pytest.raises(ValueError, match="Hermitian"):
+    with pytest.raises(ValueError, match=r"^matrix is not Hermitian \(max deviation 5\.000e-01\)$"):
         DensityMatrix(2, m)
+    # a matrix of one strip names no row
+    m = np.eye(32, dtype=complex) / 32
+    m[3, 30] = 2e-9
+    m[30, 3] = -1e-9
+    with pytest.raises(ValueError, match=r"^matrix is not Hermitian \(max deviation 3\.000e-09\)$"):
+        DensityMatrix(32, m)
 
 
 def test_density_matrix_rejects_bad_trace():

@@ -1,6 +1,7 @@
 import multiprocessing
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -416,13 +417,16 @@ def test_engine_non_finite_draw_names_the_trial_and_first_n(monkeypatch, value, 
 
     monkeypatch.setattr(sweep_mod, "trial_rng", fill_at_trial_3)
     config = SweepConfig(two_s_values=(10,), n_values=(2, 3), trials=5, complex_mode=complex_mode)
-    with pytest.raises(SweepError) as err:
-        run_sweep(config, workers=1)
-    assert (err.value.two_s, err.value.n, err.value.trial) == (10, 2, 3)
-    # under -W error::RuntimeWarning a complex +-inf draw fails earlier, in
-    # the phase multiply, with numpy's own message
-    if np.isnan(value):
-        assert "array entries must be finite" in str(err.value)
+    # the draw checks its uniforms before any arithmetic on them, so no
+    # RuntimeWarning comes first, and none becomes the error under "error"
+    for action in ("error", "default"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            with pytest.raises(SweepError) as err:
+                run_sweep(config, workers=1)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], action
+        assert (err.value.two_s, err.value.n, err.value.trial) == (10, 2, 3)
+        assert "array entries must be finite" in str(err.value), action
 
 
 # ---------------------------------------------------------------------------
