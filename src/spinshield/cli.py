@@ -27,7 +27,7 @@ from .sweep import (
     SweepConfig,
     SweepPoint,
     check_memory_budget,
-    check_sweep_memory,
+    plan_sweep,
     run_sweep,
     trial_rng,
 )
@@ -288,7 +288,7 @@ def _write(path: Path, text: str) -> bytes:
 def cmd_sweep(args) -> int:
     config = _resolve_sweep_config(args)
     workers = _workers_from_env()
-    check_sweep_memory(config, workers)
+    plan_sweep(config, workers)  # refuses a run that cannot fit before --out exists
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

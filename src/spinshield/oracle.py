@@ -111,10 +111,11 @@ def _checked_strips(strips, n: int):
 
     Strip i decides Hermiticity from lower - conj(upper)^T, every pair (r, c)
     and (c, r) with c in the strip and r >= i, conjugated in row order into
-    one buffer.  The first strip to fail words the error from that buffer.
-    A pass leaves every entry finite, so the trace, summed as ``trace()``
-    sums it, needs no finiteness test.  inf - inf makes a NaN deviation,
-    which fails; the caller silences that warning.
+    one buffer.  The first strip to fail words the error: "finite" if its
+    blocks hold a NaN or inf, else its largest deviation, inf where finite
+    partners differ beyond the float64 range.  A pass leaves every entry
+    finite, so the trace, summed as ``trace()`` sums it, needs no finiteness
+    test.  The caller silences the warnings of inf - inf and of overflow.
     """
     buf = np.empty(n * min(n, _STRIP), dtype=np.complex128)
     diag = np.empty(n, dtype=np.complex128)
@@ -123,9 +124,9 @@ def _checked_strips(strips, n: int):
         np.conjugate(upper.T, out=d)
         np.subtract(lower, d, out=d)
         if not _within_tol(d, _HERMITIAN_TOL):
-            dev = np.abs(d).max()
-            if not np.isfinite(dev):
+            if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
                 raise ValueError("array entries must be finite")
+            dev = np.abs(d).max()
             at = f" in the strip from row {i}" if n > _STRIP else ""
             raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e}{at})")
         diag[i:i + upper.shape[0]] = upper.diagonal()
@@ -151,7 +152,8 @@ class PureState:
 
     def __post_init__(self):
         amp = _frozen_array(self.amp, (4, self.dims.m_a, self.dims.m_b))
-        norm_sq = float(np.sum(_abs2(amp)))
+        with np.errstate(over="ignore"):  # a finite amplitude may square to inf, which fails below
+            norm_sq = float(np.sum(_abs2(amp)))
         if not abs(norm_sq - 1.0) <= 1e-12:
             # a NaN or inf entry fails the test above; only then is it looked for
             if not np.isfinite(amp).all():
@@ -178,7 +180,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         entries = _frozen_array(self.entries, (self.dim, self.dim))
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             for _ in _checked_strips(_matrix_strips(entries), self.dim):
                 pass
         object.__setattr__(self, "entries", entries)
@@ -277,7 +279,7 @@ def separability_structure_check(cs: CoefficientSet, tol: float = 1e-10) -> bool
     factor = np.stack(columns, axis=1)
     factor_h = factor.conj().T
     separable = True
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for i, upper, lower in _checked_strips(_product_strips(k), k.shape[0]):
             if separable:
                 upper -= factor[i:i + _STRIP] @ factor_h[:, i:]

@@ -142,12 +142,6 @@ def check_memory_budget(dims: SpinDims, processes: int = 1, rows: int = 0) -> No
         )
 
 
-def check_sweep_memory(config: SweepConfig, workers: int | None = None) -> None:
-    """check_memory_budget for ``run_sweep(config, workers)``: its largest draws and every result row."""
-    rows = len(config.two_s_values) * len(config.n_values) * config.trials
-    check_memory_budget(SpinDims(config.two_s_values[-1]), worker_processes(config, workers), rows)
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """Protocol parameters for one sweep."""
@@ -350,30 +344,31 @@ def _task_rows(config: SweepConfig, two_s: int, first: int, stop: int) -> np.nda
     return out
 
 
-def _chunks(config: SweepConfig, workers: int) -> int:
-    """Contiguous trial chunks per two_s: 1 in a serial run, else at least 2
-    tasks per worker, 1 chunk per two_s once there are that many two_s values."""
-    return 1 if workers == 1 else min(config.trials, -(-2 * workers // len(config.two_s_values)))
-
-
 def _usable_cores() -> int:
     """The cores this process may run on (all cores where the platform does not say)."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _resolve_workers(workers: int | None) -> int:
-    """The worker count, capped at the usable cores, which are also the default."""
-    if workers is not None and workers < 1:
-        raise ValueError("workers must be >= 1")
+def plan_sweep(config: SweepConfig, workers: int | None = None) -> tuple[int, int]:
+    """(chunks, processes) of ``run_sweep(config, workers)``; MemoryBudgetError if it cannot fit.
+
+    ``workers`` is an integer >= 1, capped at the usable cores, which are
+    also the default.  Each two_s's trials split into ``chunks`` contiguous
+    chunks: 1 in a serial run, else at least 2 tasks per worker, 1 chunk per
+    two_s once there are that many two_s values.  ``processes`` hold draws
+    at once: the workers or the tasks, whichever is fewer.  The run is
+    refused if one batch of its largest draws per process and every result
+    row exceed physical memory (see check_memory_budget).
+    """
+    if workers is not None and not (_is_integer(workers) and workers >= 1):
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     cores = _usable_cores()
-    return cores if workers is None else min(workers, cores)
-
-
-def worker_processes(config: SweepConfig, workers: int | None = None) -> int:
-    """Processes that hold draws during ``run_sweep(config, workers)``; 1 when it runs serially."""
-    workers = _resolve_workers(workers)
-    tasks = len(config.two_s_values) * _chunks(config, workers)
-    return min(workers, tasks)
+    workers = cores if workers is None else min(int(workers), cores)
+    chunks = 1 if workers == 1 else min(config.trials, -(-2 * workers // len(config.two_s_values)))
+    processes = min(workers, len(config.two_s_values) * chunks)
+    rows = len(config.two_s_values) * len(config.n_values) * config.trials
+    check_memory_budget(SpinDims(config.two_s_values[-1]), processes, rows)
+    return chunks, processes
 
 
 def run_sweep(config: SweepConfig, workers: int | None = None) -> list[SweepPoint]:
@@ -381,9 +376,7 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> list[SweepPoin
 
     ``workers`` bounds the number of worker processes (default and cap: the
     usable cores).  A task is one two_s and a contiguous chunk of its trials,
-    evaluated for every n.  A parallel sweep with fewer two_s values than
-    twice the workers splits each two_s's trials into chunks that run as
-    separate tasks, so a single large point still uses every core.  The
+    evaluated for every n; plan_sweep sets the chunks and the processes.  The
     worker count cannot change the results: every trial owns a stream derived
     only from (master_seed, two_s, trial), and each point is aggregated from
     its rows in trial order.  Any failed trial aborts the sweep with a
@@ -391,10 +384,7 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> list[SweepPoin
     sweep whose largest batch of draws, once per worker process, and result
     rows exceed physical memory raises MemoryBudgetError before any trial runs.
     """
-    workers = _resolve_workers(workers)
-    processes = worker_processes(config, workers)
-    check_sweep_memory(config, workers)
-    chunks = _chunks(config, workers)
+    chunks, processes = plan_sweep(config, workers)
     bounds = [1 + config.trials * i // chunks for i in range(chunks + 1)]
     tasks = [(config, two_s, lo, hi) for two_s in config.two_s_values for lo, hi in zip(bounds, bounds[1:])]
     if processes == 1:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from spinshield import cli
 from spinshield.cli import CSV_HEADER, fnv1a64, main
-from spinshield.sweep import SweepConfig
+from spinshield.sweep import SweepConfig, run_sweep
 
 
 def run_cli(args):
@@ -51,6 +51,18 @@ def test_sweep_worker_env_does_not_change_bytes(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.WORKERS_ENV, "3")
     assert run_cli(argv + [str(tmp_path / "w3")]) == 0
     assert (tmp_path / "w1/sweep.csv").read_bytes() == (tmp_path / "w3/sweep.csv").read_bytes()
+
+
+def test_a_sweep_reads_the_usable_cores_once_per_plan(tmp_path, monkeypatch):
+    # plan_sweep alone reads them: once per run_sweep, and in `spinshield
+    # sweep` once more for the refusal before --out exists
+    reads = []
+    monkeypatch.setattr("spinshield.sweep._usable_cores", lambda: reads.append(1) or 2)
+    monkeypatch.setenv(cli.WORKERS_ENV, "1")
+    run_sweep(SweepConfig(two_s_values=(2,), n_values=(1,), trials=2), workers=1)
+    assert len(reads) == 1
+    assert run_cli(["sweep", "--two-s", "2", "--n", "1", "--trials", "2", "--out", str(tmp_path / "r")]) == 0
+    assert len(reads) == 3
 
 
 def test_sweep_invalid_worker_env_is_usage_error(tmp_path, monkeypatch):

@@ -416,8 +416,12 @@ def test_non_finite_entry_after_the_first_strip_fails_both_checks(monkeypatch, v
         # the first failing strip words the error: its deviation, not a later one's
         ({(0, 1): 1e-9, (100, 110): 1e-6}, "from row 0"),
         ({(0, 1): 1e-9, (100, 110): np.nan}, "not Hermitian"),
+        # finite partners whose difference overflows: not Hermitian, and no
+        # RuntimeWarning first
+        ({(100, 200): 1.7e308, (200, 100): -1.7e308}, "not Hermitian .max deviation inf in the strip from row 96"),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_separability_raises_the_density_matrix_error(monkeypatch, faults, message):
     for cs in CS_289:
         entries = _faulty_rho_m(cs, faults)
@@ -565,11 +569,15 @@ def test_reductions_are_valid_density_matrices(seed, two_s_a, two_s_b):
 # DensityMatrix validation
 
 
+@pytest.mark.filterwarnings("error")
 def test_density_matrix_rejects_non_hermitian():
     m = np.eye(2, dtype=complex)
     m[0, 1] = 0.5
     with pytest.raises(ValueError, match=r"^matrix is not Hermitian \(max deviation 5\.000e-01\)$"):
         DensityMatrix(2, m)
+    # every entry finite, but 1.7e308 - (-1.7e308) overflows: inf, with no RuntimeWarning
+    with pytest.raises(ValueError, match=r"^matrix is not Hermitian \(max deviation inf\)$"):
+        DensityMatrix(2, np.array([[0.5, 1.7e308], [-1.7e308, 0.5]]))
     # a matrix of one strip names no row
     m = np.eye(32, dtype=complex) / 32
     m[3, 30] = 2e-9
@@ -705,6 +713,14 @@ def test_pure_state_rejects_non_finite_amplitudes():
     amp = np.zeros((4, 1, 1), dtype=complex)
     amp[2, 0, 0] = np.inf
     with pytest.raises(ValueError, match="finite"):
+        PureState(SpinDims(0), amp)
+
+
+@pytest.mark.filterwarnings("error")
+def test_pure_state_rejects_a_finite_amplitude_whose_norm_overflows():
+    amp = np.zeros((4, 1, 1), dtype=complex)
+    amp[2, 0, 0] = 1e200
+    with pytest.raises(ValueError, match=r"^state norm\^2 deviates from 1 by inf$"):
         PureState(SpinDims(0), amp)
 
 

@@ -18,13 +18,12 @@ from spinshield.sweep import (
     SweepPoint,
     _mix64,
     check_memory_budget,
-    check_sweep_memory,
+    plan_sweep,
     run_sweep,
     summarize,
     trial_peak_bytes,
     trial_rng,
     trial_seed,
-    worker_processes,
 )
 
 
@@ -495,9 +494,16 @@ def test_config_accepts_numpy_integers_as_ints():
                                         config.master_seed))
 
 
-def test_run_sweep_rejects_bad_worker_count():
-    with pytest.raises(ValueError):
-        run_sweep(SweepConfig(two_s_values=(2,), n_values=(1,), trials=1), workers=0)
+@pytest.mark.parametrize("workers", [0, 2.0, True, "2"])
+def test_run_sweep_rejects_bad_worker_count(monkeypatch, workers):
+    # SweepConfig's rule: an int or numpy integer, never a bool; refused before any trial
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(sweep_mod, "trial_rng", no_trial)
+    config = SweepConfig(two_s_values=(2, 4), n_values=(1,), trials=3)
+    with pytest.raises(ValueError, match=f"^workers must be an integer >= 1, got {workers!r}$"):
+        run_sweep(config, workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -520,22 +526,23 @@ def test_trial_peak_bytes_is_one_draw_plus_two_rows(dims, expected):
 
 
 @pytest.mark.parametrize(
-    "two_s, n, trials, workers, expected",
+    "two_s, n, trials, workers, chunks, processes",
     [
-        ((100000,), (1,), 1, 8, 1),  # one task
-        ((100000,), (1, 2, 3), 20, 1, 1),  # serial
-        ((100000,), (1, 2, 3), 20, 2, 2),  # 1 two_s in 4 chunks: 2 tasks per worker
-        ((2, 4), (1,), 3, 16, 6),  # 2 two_s x 3 chunks, one per trial: fewer tasks than workers
-        # a pool starts all its processes at once, so no count beyond the cores is honored
-        (DEFAULT_TWO_S_GRID, (1, 2, 3), 200, 1000, 16),
-        (DEFAULT_TWO_S_GRID, (1, 2, 3), 200, None, 16),  # the default: every usable core
+        ((100000,), (1,), 1, 8, 1, 1),  # one task
+        ((100000,), (1, 2, 3), 20, 1, 1, 1),  # serial
+        ((100000,), (1, 2, 3), 20, 2, 4, 2),  # 1 two_s in 4 chunks: 2 tasks per worker
+        ((2, 4), (1,), 3, 16, 3, 6),  # 2 two_s x 3 chunks, one per trial: fewer tasks than workers
+        # a pool starts all its processes at once, so no count beyond the cores is honored;
+        # 9 two_s values in 4 chunks give each of 16 workers at least 2 tasks
+        (DEFAULT_TWO_S_GRID, (1, 2, 3), 200, 1000, 4, 16),
+        (DEFAULT_TWO_S_GRID, (1, 2, 3), 200, None, 4, 16),  # the default: every usable core
     ],
 )
-def test_worker_processes_counts_the_pool(monkeypatch, two_s, n, trials, workers, expected):
-    # the same pool on any host, whose usable cores cap the worker count
+def test_plan_sweep_counts_the_pool(monkeypatch, two_s, n, trials, workers, chunks, processes):
+    # the same plan on any host, whose usable cores cap the worker count
     monkeypatch.setattr(sweep_mod, "_usable_cores", lambda: 16)
     config = SweepConfig(two_s_values=two_s, n_values=n, trials=trials)
-    assert worker_processes(config, workers) == expected
+    assert plan_sweep(config, workers) == (chunks, processes)
 
 
 def test_serial_sweep_reads_each_two_s_in_one_task(monkeypatch):
@@ -570,11 +577,11 @@ def test_memory_budget_counts_every_result_row_twice(monkeypatch):
     dims = SpinDims(2)
     rows_bytes = 2 * 24 * 3 * 10**8
     monkeypatch.setattr(sweep_mod, "_physical_memory_bytes", lambda: trial_peak_bytes(dims) + rows_bytes)
-    check_sweep_memory(config, workers=1)
+    plan_sweep(config, workers=1)
     check_memory_budget(dims, 1, 3 * 10**8)
     monkeypatch.setattr(sweep_mod, "_physical_memory_bytes", lambda: trial_peak_bytes(dims) + rows_bytes - 1)
     with pytest.raises(MemoryBudgetError, match="14.4 GB for 300000000 result rows"):
-        check_sweep_memory(config, workers=1)
+        plan_sweep(config, workers=1)
 
 
 def test_physical_memory_is_unknown_where_sysconf_raises(monkeypatch):
