@@ -290,7 +290,10 @@ def cmd_sweep(args) -> int:
     workers = _workers_from_env()
     plan_sweep(config, workers)  # refuses a run that cannot fit before --out exists
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at the path or above it
+        raise UsageError(f"--out {args.out!r} cannot be made a directory: {exc}") from exc
 
     started = _utc_now()
     points = run_sweep(config, workers=workers)

@@ -163,8 +163,12 @@ def _side_sums(block: np.ndarray) -> tuple:
     k = _quotient((a4.real - a3.real) + (p - q3), s3)
     if is_complex:
         k = _complex(k, _quotient(((a4.imag - a3.imag) + 0.0) - w, s3))
-    # residual d - k u = x4 - (1 + k) x3 - k, built in one temporary
-    r = (1.0 + k) * x3
+    # residual d - k u = x4 - (1 + k) x3 - k in one temporary; (1 + k) x3 is (1 + Re k) x3 + (i Im k) x3,
+    # since a real or an imaginary factor rounds alike at every SIMD level and a complex one may use FMA
+    r = (1.0 + k.real) * x3
+    if is_complex:
+        r.real -= k.imag * x3.imag
+        r.imag += k.imag * x3.real
     np.subtract(x4, r, out=r)
     r -= k
     if is_complex:

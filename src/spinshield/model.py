@@ -246,11 +246,13 @@ def sample_coefficients(
 ) -> CoefficientSet:
     """Draw the d=3 and d=4 perturbation rows uniformly on (0, x_max] and (0, y_max].
 
-    Entries are ``bound * (1 - u)`` with ``u`` uniform on [0, 1), so zero is
-    excluded exactly.  The draw order is part of the reproducibility
-    contract: row d=3 then d=4, entries in ascending index order, all of
-    ``x`` before all of ``y``.  In complex mode each row draws its moduli
-    first and then its phases (uniform on [0, 2*pi)).
+    Entries are ``(1 - u) * bound``, and ``((1 - u) exp(2 pi i v)) * bound``
+    in complex mode, with ``u`` and ``v`` uniform on [0, 1): zero is excluded
+    exactly, and the bound is applied last, so a draw is bitwise its bound
+    times the unit draw (bound 1), as the sweep engine forms it.  The draw
+    order is part of the reproducibility contract: row d=3 then d=4, entries
+    in ascending index order, all of ``x`` before all of ``y``; in complex
+    mode each row draws its moduli u first and then its phases v.
     """
     if not x_max > 0 or not y_max > 0:
         raise ValueError("x_max and y_max must be positive")
@@ -258,7 +260,7 @@ def sample_coefficients(
     y = np.zeros((4, dims.m_b), dtype=np.complex128)
     for rows, bound in ((x[2:4], x_max), (y[2:4], y_max)):
         for row in rows:
-            mod = bound * (1.0 - rng.random(row.size))
+            mod = 1.0 - rng.random(row.size)
             if complex_mode:
                 # the phase factor is built in the row itself: no complex temporary
                 np.multiply(2j * np.pi, rng.random(row.size), out=row)
@@ -266,6 +268,7 @@ def sample_coefficients(
                 row *= mod
             else:
                 row.real = mod
+            row *= bound
             del mod  # freed before the next row draws its own
     # the arrays are frozen here, so CoefficientSet adopts them without a copy
     x.setflags(write=False)

@@ -86,12 +86,13 @@ _BATCH_BYTES = 1 << 22
 def _draw_bytes(dims: SpinDims) -> int:
     """Bytes one trial holds at once: 64 (m_a + m_b) + 32 max(m_a, m_b).
 
-    At m_a = m_b = m the engine holds the draw as float64 moduli and
-    complex128 phase factors of four rows (96 m; real mode keeps only the
-    moduli), one side's two complex128 perturbation rows for one n (32 m),
-    and scratch and temporaries of at most two complex128 rows (32 m).  A
-    single draw as a CoefficientSet, as the crosscheck and ``single`` make
-    it, is two 4 x m complex128 matrices plus two rows of temporaries.
+    At m_a = m_b = m that is 160 m: a single draw as a CoefficientSet, as
+    the crosscheck and ``single`` make it, is two 4 x m complex128 matrices
+    plus two rows of temporaries.  The engine holds less: per trial, the
+    unit draw of four complex128 rows (64 m), one side's two rows scaled by
+    one n's bound (32 m) and temporaries of at most two complex128 rows
+    (32 m), 128 m in all; per batch, one row's uniforms (16 m).  Real mode
+    holds float64 rows and no separate uniforms.
     """
     return 64 * (dims.m_a + dims.m_b) + 32 * max(dims.m_a, dims.m_b)
 
@@ -244,51 +245,40 @@ def summarize(rows: np.ndarray, two_s: int, n: int) -> SweepPoint:
 
 
 class _Draws:
-    """Buffers for a batch of trials' draws at one two_s, reused by each batch of a task.
+    """Buffers for a batch of trials' unit draws at one two_s, reused by each batch of a task.
 
     A trial's stream is read in the order of sample_coefficients: rows x3,
-    x4, y3, y4, and in complex mode each row's moduli and then its phases.
-    Its uniforms u are checked finite before they become 1 - u in place or
-    the phase factors exp(2 pi i u); ``side`` scales them by an n's bound.
+    x4, y3, y4, and in complex mode each row's moduli u and then its phases
+    v.  The uniforms are checked finite before any arithmetic on them, and
+    become the trial's unit rows 1 - u, times exp(2 pi i v) in complex mode.
+    ``side`` applies an n's bound last, as sample_coefficients does.
     """
 
     def __init__(self, m: int, size: int, complex_mode: bool):
-        self.complex_mode = complex_mode
-        self.mod = np.empty((size, 4, m))
-        if complex_mode:
-            self.phase = np.empty((size, 4, m), np.complex128)
-            self.work = np.empty((size, m))  # a row's phase uniforms, then an n's moduli
-        self.rows = np.empty((size, 2, m), np.complex128 if complex_mode else np.float64)
+        self.unit = np.empty((size, 4, m), np.complex128 if complex_mode else np.float64)
+        self.rows = np.empty((size, 2, m), self.unit.dtype)
+        self.u = np.empty((2, m)) if complex_mode else None  # one complex row's u, then its v
 
     def draw(self, t: int, rng: np.random.Generator) -> None:
-        """Read the batch's trial t from its stream and form its 1 - u and phase factors; ValueError unless finite."""
-        mod = self.mod[t]
-        if self.complex_mode:
-            u = self.work[0]
-            for row in range(4):
-                rng.random(out=mod[row])
-                rng.random(out=u)
-                if not np.isfinite(u).all():
-                    raise ValueError("array entries must be finite")
-                np.multiply(2j * np.pi, u, out=self.phase[t, row])
-            np.exp(self.phase[t], out=self.phase[t])
-        else:
-            rng.random(out=mod)
-        if not np.isfinite(mod).all():
-            raise ValueError("array entries must be finite")
-        np.subtract(1.0, mod, out=mod)
+        """Read the batch's trial t from its stream and form its unit rows; ValueError unless finite."""
+        unit = self.unit[t]
+        if self.u is None:
+            rng.random(out=unit)
+            if not np.isfinite(unit).all():
+                raise ValueError("array entries must be finite")
+            np.subtract(1.0, unit, out=unit)
+            return
+        for row in unit:
+            rng.random(out=self.u)
+            if not np.isfinite(self.u).all():
+                raise ValueError("array entries must be finite")
+            np.multiply(2j * np.pi, self.u[1], out=row)
+            np.exp(row, out=row)
+            row *= np.subtract(1.0, self.u[0], out=self.u[0])
 
     def side(self, side: int, bound: float, size: int) -> np.ndarray:
-        """Side 0 (x) or 1 (y) of the first ``size`` trials, (size, 2, m): bound * (1 - u), times the phase factor."""
-        rows = self.rows[:size]
-        mod = self.mod[:size, 2 * side:2 * side + 2]
-        if not self.complex_mode:
-            return np.multiply(mod, bound, out=rows)
-        work = self.work[:size]
-        for r in range(2):
-            np.multiply(mod[:, r], bound, out=work)
-            np.multiply(self.phase[:size, 2 * side + r], work, out=rows[:, r])
-        return rows
+        """Side 0 (x) or 1 (y) of the first ``size`` trials, (size, 2, m): their unit rows times bound."""
+        return np.multiply(self.unit[:size, 2 * side:2 * side + 2], bound, out=self.rows[:size])
 
 
 def _crosscheck(

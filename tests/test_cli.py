@@ -78,6 +78,22 @@ def test_sweep_zero_worker_env_is_usage_error_before_out(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("out, errno", [("afile", "[Errno 17]"), ("afile/sub", "[Errno 20]")],
+                         ids=["a-file", "under-a-file"])
+def test_sweep_out_that_cannot_be_a_directory_is_usage_error(tmp_path, capsys, monkeypatch, out, errno):
+    # an existing file, or a path under one: refused before any trial runs
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("spinshield.sweep.trial_rng", no_trial)
+    (tmp_path / "afile").write_text("")
+    path = tmp_path / out
+    assert run_cli(["sweep", "--two-s", "2", "--trials", "1", "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {str(path)!r} cannot be made a directory: {errno}")
+    assert (tmp_path / "afile").read_text() == ""
+
+
 def test_sweep_csv_schema(tmp_path):
     out = tmp_path / "r"
     run_cli(["sweep", "--two-s", "2,4", "--n", "1,2", "--trials", "2", "--out", str(out)])

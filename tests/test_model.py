@@ -222,14 +222,17 @@ def test_sample_draw_order_is_pinned():
 
 
 def test_sample_complex_draw_order_is_pinned():
-    # per row, the moduli and then the phases; bitwise equal to the plain formula
+    # per row, the moduli and then the phases; bitwise equal to the plain
+    # formula, with the bound applied last.  The bounds are not powers of two,
+    # so bound * (phase * (1 - u)) would differ from it in some entries
     dims = SpinDims(3, 5)
+    x_max, y_max = x_max_schedule(10, 1), x_max_schedule(7, 2)
     rng = np.random.Generator(np.random.PCG64(99))
-    cs = sample_coefficients(dims, 0.5, 0.25, BELL_C, rng, complex_mode=True)
+    cs = sample_coefficients(dims, x_max, y_max, BELL_C, rng, complex_mode=True)
     ref = np.random.Generator(np.random.PCG64(99))
-    for row, bound in ((cs.x[2], 0.5), (cs.x[3], 0.5), (cs.y[2], 0.25), (cs.y[3], 0.25)):
-        mod = bound * (1.0 - ref.random(row.size))
-        assert row.tobytes() == (mod * np.exp(2j * np.pi * ref.random(row.size))).tobytes()
+    for row, bound in ((cs.x[2], x_max), (cs.x[3], x_max), (cs.y[2], y_max), (cs.y[3], y_max)):
+        unit = (1.0 - ref.random(row.size)) * np.exp(2j * np.pi * ref.random(row.size))
+        assert row.tobytes() == (unit * bound).tobytes()
 
 
 def test_sample_complex_mode():

@@ -336,6 +336,27 @@ def test_engine_draw_is_sample_coefficients_for_every_n(two_s, complex_mode):
 
 
 @pytest.mark.parametrize("complex_mode", [False, True])
+@pytest.mark.parametrize("two_s", [1, 2, 4, 7, 100])
+def test_crosscheck_sees_the_engine_draw_bit_for_bit(two_s, complex_mode):
+    # _crosscheck hands the oracle the unit draw scaled by each n's bound:
+    # bitwise the rows the engine evaluates for that n
+    dims, c, trials = SpinDims(two_s), SweepConfig().c, range(1, 21)
+    draws = sweep_mod._Draws(dims.m_a, len(trials), complex_mode)
+    units = []
+    for t, trial in enumerate(trials):
+        draws.draw(t, trial_rng(0, two_s, trial))
+        units.append(sample_coefficients(dims, 1.0, 1.0, c, trial_rng(0, two_s, trial), complex_mode))
+    for n in (1, 2, 3):
+        bound = x_max_schedule(two_s, n)
+        for side, name in ((0, "x"), (1, "y")):
+            rows = draws.side(side, bound, len(trials))
+            for t, unit in enumerate(units):
+                want = getattr(unit.scaled(bound), name)[2:4]
+                want = want if complex_mode else want.real
+                assert np.ascontiguousarray(want).tobytes() == rows[t].tobytes(), (n, name, t + 1)
+
+
+@pytest.mark.parametrize("complex_mode", [False, True])
 def test_engine_rows_are_evaluate_of_each_draw(complex_mode):
     # batched sums and measures are bitwise those of one draw at a time,
     # for unequal weights and batches of several trials
