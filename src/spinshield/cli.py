@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import json
 import math
 import os
@@ -310,16 +311,19 @@ def cmd_sweep(args) -> int:
 # verify
 
 
+def _case_point(case: int, two_s_max: int) -> tuple[int, float]:
+    """(two_s, x_max) of a case, the same for every family."""
+    return 1 + (case - 1) % two_s_max, _VERIFY_X_MAXES[(case - 1) % len(_VERIFY_X_MAXES)]
+
+
 def _verify_case(master_seed: int, family_index: int, case: int, two_s_max: int):
-    """Deterministic case: (dims, x_max, coefficient set) for one family/case pair."""
-    two_s = 1 + (case - 1) % two_s_max
-    x_max = _VERIFY_X_MAXES[(case - 1) % len(_VERIFY_X_MAXES)]
+    """Deterministic coefficient set for one family/case pair, at its _case_point."""
+    two_s, x_max = _case_point(case, two_s_max)
     rng = trial_rng(master_seed, 1000 * family_index + two_s, case)
     theta = rng.uniform(0.0, np.pi / 2.0)
     phases = np.exp(2j * np.pi * rng.random(2))
     c = (0j, 0j, np.cos(theta) * phases[0], np.sin(theta) * phases[1])
-    cs = sample_coefficients(SpinDims(two_s), x_max, x_max, c, rng)
-    return two_s, x_max, cs
+    return sample_coefficients(SpinDims(two_s), x_max, x_max, c, rng)
 
 
 def _check_monogamy(cs, tol: float) -> bool:
@@ -329,48 +333,84 @@ def _check_monogamy(cs, tol: float) -> bool:
     return abs((r.one_tangle - r.concurrence * r.concurrence) - r.monogamy_slack) <= tol
 
 
-def _check_oracle_concurrence(cs, tol: float) -> bool:
-    state = oracle.assemble_state(cs)
-    c_oracle = oracle.wootters_concurrence(oracle.reduce(state, "D"))
-    return abs(closedform.evaluate(cs).concurrence - c_oracle) <= tol
-
-
-def _check_oracle_tangle(cs, tol: float) -> bool:
-    state = oracle.assemble_state(cs)
-    tau_oracle = oracle.one_tangle(oracle.reduce(state, "Q1"))
-    return abs(closedform.evaluate(cs).one_tangle - tau_oracle) <= tol
-
-
-def _check_symmetry(cs, tol: float) -> bool:
-    state = oracle.assemble_state(cs)
-    t1 = oracle.one_tangle(oracle.reduce(state, "Q1"))
-    t2 = oracle.one_tangle(oracle.reduce(state, "Q2"))
-    return abs(t1 - t2) <= tol
-
-
 def _check_separability(cs, tol: float) -> bool:
     return oracle.separability_structure_check(cs, tol)
 
 
 def _check_quadratic_gap(cs, tol: float) -> bool:
     # the gap is quadratic in the perturbation scale: each halving must cut it
-    # to at most 0.4 of its value (ideally 0.25)
-    g1, g2, g3 = (
-        abs(closedform.evaluate(cs.scaled(t)).monogamy_slack) for t in (0.125, 0.0625, 0.03125)
-    )
+    # to at most 0.4 of its value (ideally 0.25).  The three scalings are one
+    # stack, bit for bit evaluate of cs.scaled(t), and fail with the error
+    # evaluate raises for the first that fails
+    t = np.array([0.125, 0.0625, 0.03125])[:, None, None]
+    sums = [closedform._side_sums(t * closedform._rows_of(p)) for p in (cs.x, cs.y)]
+    measures = closedform._from_sums(*sums, *(abs(c) for c in cs.c[2:].tolist()))
+    failure = closedform._first_failure(*sums, *measures)
+    if failure is not None:
+        raise ValueError(failure[1])
+    g1, g2, g3 = np.abs(measures[2])
     return g2 <= 0.4 * g1 and g3 <= 0.4 * g2
+
+
+def _each_case(check):
+    """A family that checks each draw on its own, as it comes: one check(cs, tol) call per verdict."""
+    return lambda sets, tol: (functools.partial(check, cs, tol) for cs in sets)
+
+
+def _oracle_family(keeps: tuple[str, ...], read, holds):
+    """A family that checks its draws against the dense oracle, all at once.
+
+    ``read`` takes the stacks of oracle.reductions and gives one value per
+    draw, so the checks and read-outs run once over the family's draws; a
+    draw's verdict is ``holds(cs, value, tol)``, or the oracle's error for
+    it (see oracle.per_entry).
+    """
+
+    def family(sets, tol):
+        sets = list(sets)
+        values = np.empty(len(sets))
+
+        def run(idx):
+            values[idx] = read(*oracle.reductions([sets[i] for i in idx], keeps))
+
+        errors = oracle.per_entry(run, len(sets))
+
+        def verdict(i, cs):
+            if i in errors:
+                raise errors[i]
+            return holds(cs, values[i], tol)
+
+        return (functools.partial(verdict, i, cs) for i, cs in enumerate(sets))
+
+    return family
 
 
 # the families look their callees up as module attributes when they are called,
 # so that perfbench's tracer, which patches those attributes, sees every call
 _VERIFY_CHECKS = {
-    "monogamy": _check_monogamy,
-    "oracle-concurrence": _check_oracle_concurrence,
-    "oracle-tangle": _check_oracle_tangle,
-    "symmetry": _check_symmetry,
-    "separability": _check_separability,
-    "quadratic-gap": _check_quadratic_gap,
+    "monogamy": _each_case(_check_monogamy),
+    "oracle-concurrence": _oracle_family(
+        ("D",),
+        lambda rho_d: oracle.wootters_concurrence(rho_d),
+        lambda cs, c, tol: abs(closedform.evaluate(cs).concurrence - c) <= tol,
+    ),
+    "oracle-tangle": _oracle_family(
+        ("Q1",),
+        lambda rho_q1: oracle.one_tangle(rho_q1),
+        lambda cs, tau, tol: abs(closedform.evaluate(cs).one_tangle - tau) <= tol,
+    ),
+    "symmetry": _oracle_family(
+        ("Q1", "Q2"),
+        lambda rho_q1, rho_q2: np.abs(oracle.one_tangle(rho_q1) - oracle.one_tangle(rho_q2)),
+        lambda cs, dev, tol: dev <= tol,
+    ),
+    "separability": _each_case(_check_separability),
+    "quadratic-gap": _each_case(_check_quadratic_gap),
 }
+
+# cases a family checks as one stack: with two_s_max = 63 a stack of 1024
+# holds about 16 draws at each two_s, whose amplitude tensors take 4.2 MB
+_VERIFY_STACK = 1024
 
 
 def cmd_verify(args) -> int:
@@ -386,20 +426,23 @@ def cmd_verify(args) -> int:
     # the family's position seeds its cases, so the table's order is part of the output
     for family_index, (family, check) in enumerate(_VERIFY_CHECKS.items()):
         passed = 0
-        for case in range(1, args.cases + 1):
-            two_s, x_max, cs = _verify_case(args.seed, family_index, case, args.two_s_max)
-            try:
-                ok, reason = check(cs, args.tol), ""
-            except ValueError as exc:  # a validated type refused the draw (LinAlgError too)
-                ok, reason = False, f": {exc}"
-            if ok:
-                passed += 1
-            else:
-                print(
-                    f"FAIL {family}: case={case} two_s={two_s} x_max={x_max} "
-                    f"seed={args.seed}{reason}",
-                    file=sys.stderr,
-                )
+        for first in range(1, args.cases + 1, _VERIFY_STACK):
+            cases = range(first, min(first + _VERIFY_STACK, args.cases + 1))
+            draws = (_verify_case(args.seed, family_index, case, args.two_s_max) for case in cases)
+            for case, verdict in zip(cases, check(draws, args.tol)):
+                two_s, x_max = _case_point(case, args.two_s_max)
+                try:
+                    ok, reason = verdict(), ""
+                except ValueError as exc:  # a validated type refused the draw (LinAlgError too)
+                    ok, reason = False, f": {exc}"
+                if ok:
+                    passed += 1
+                else:
+                    print(
+                        f"FAIL {family}: case={case} two_s={two_s} x_max={x_max} "
+                        f"seed={args.seed}{reason}",
+                        file=sys.stderr,
+                    )
         print(f"{family}: {passed}/{args.cases}")
         if passed != args.cases:
             all_pass = False
@@ -526,8 +569,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--two-s-max", dest="two_s_max", type=int, default=8)
     p_verify.add_argument("--cases", type=int, default=100)
     p_verify.add_argument("--tol", type=float, default=1e-10, help=(
-        "absolute tolerance (default 1e-10); below the float64 rounding of the checked entries, "
-        "about 1e-16 for the separability residual, a verdict depends on how BLAS blocks products"))
+        "absolute tolerance (default 1e-10); below about 1e-15, the float64 rounding of the checked "
+        "entries, a verdict depends on how BLAS rounds the oracle's real products"))
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=cmd_verify)
 

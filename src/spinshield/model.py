@@ -20,7 +20,6 @@ the appropriate power of ``N``, so only the ratio matters.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,31 +275,52 @@ def sample_coefficients(
     return CoefficientSet(dims, c, x, y)
 
 
-def _level_sums(cs: CoefficientSet) -> tuple[list, float]:
-    """([(d, |c_d|^2, X_d, Y_d) for each populated level d], N**2) from one pass.
+def _at(index, exc: ValueError) -> ValueError:
+    """``exc`` marked as the error of entry ``index`` of a stack, in its ``index`` attribute."""
+    exc.index = int(index)
+    return exc
 
-    X_d = sum_alpha |1 + x[d,alpha]|^2 and Y_d likewise; N**2 sums
-    |c_d|^2 X_d Y_d in level order.
+
+def _stacked(cs, scale: float = 1.0) -> tuple:
+    """(c, x, y) of a CoefficientSet, or of a sequence of them stacked along a leading axis.
+
+    The perturbations are multiplied by ``scale`` as CoefficientSet.scaled
+    multiplies them, bit for bit, without building the scaled sets.
     """
-    levels, total = [], 0.0
-    for d in range(4):
-        w = abs(cs.c[d]) ** 2
-        if w == 0.0:
-            continue
-        xd = float(_abs2(1.0 + cs.x[d]).sum())
-        yd = float(_abs2(1.0 + cs.y[d]).sum())
-        levels.append((d, w, xd, yd))
-        total += w * xd * yd
-    return levels, total
+    sets = [cs] if isinstance(cs, CoefficientSet) else cs
+    c, x, y = (np.array([getattr(s, name) for s in sets]) for name in "cxy")
+    return c, scale * x, scale * y
 
 
-def normalization(cs: CoefficientSet) -> float:
-    """The positive N that gives the assembled amplitude tensor unit norm.
+def _level_sums(c, x, y) -> tuple:
+    """(|c_d|^2, X_d, Y_d) as (k, 4) arrays and N**2 as a (k,) array, for k stacked draws.
+
+    ``c``, ``x`` and ``y`` are those of :func:`_stacked`.  X_d = sum_alpha
+    |1 + x[d,alpha]|^2 and Y_d likewise, one pairwise sum per row; |c_d|^2
+    comes from Python's complex abs and float ``**``, and N**2 sums
+    |c_d|^2 X_d Y_d over the populated levels in level order.
+    """
+    w = np.array([abs(v) ** 2 for v in c.ravel().tolist()]).reshape(c.shape)
+    x, y = _abs2(1.0 + x).sum(axis=-1), _abs2(1.0 + y).sum(axis=-1)
+    # an empty level adds nothing, not 0 * inf
+    live = w != 0.0
+    terms = np.multiply(w, x, out=np.zeros(w.shape), where=live)
+    np.multiply(terms, y, out=terms, where=live)
+    return w, x, y, ((terms[:, 0] + terms[:, 1]) + terms[:, 2]) + terms[:, 3]
+
+
+def normalization(cs, scale: float = 1.0):
+    """The positive N that gives the assembled amplitude tensor unit norm; an array for a sequence of sets.
 
     N**2 = sum_d |c_d|^2 * (sum_alpha |1 + x[d,alpha]|^2)
-                         * (sum_beta |1 + y[d,beta]|^2).
+                         * (sum_beta |1 + y[d,beta]|^2),
+    of each set scaled by ``scale`` (see :func:`_stacked`).  A sequence's
+    DegenerateStateError is marked with the first set whose weights all
+    vanish.
     """
-    n_sq = _level_sums(cs)[1]
-    if n_sq <= 0.0:
-        raise DegenerateStateError("all device weights vanish; state cannot be normalized")
-    return math.sqrt(n_sq)
+    n_sq = _level_sums(*_stacked(cs, scale))[3]
+    bad = n_sq <= 0.0
+    if bad.any():
+        raise _at(np.argmax(bad), DegenerateStateError("all device weights vanish; state cannot be normalized"))
+    n = np.sqrt(n_sq)
+    return float(n[0]) if isinstance(cs, CoefficientSet) else n

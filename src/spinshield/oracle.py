@@ -7,7 +7,9 @@ matrices.  The dense route is gated to apparatus dimensions
 ``m_a * m_b <= 4096``; it exists to validate the closed forms, which are the
 ones that scale.  :func:`reduce` materializes the matrix it returns; the
 apparatus check forms the m_a m_b x m_a m_b matrix of the two spins one
-32-row strip at a time and never stores it.
+32-row strip at a time and never stores it.  States, density matrices and
+the read-outs take a leading stack axis; a stack raises the error of its
+first failing entry, with the entry's position as the error's ``index``.
 """
 
 from __future__ import annotations
@@ -21,9 +23,11 @@ from .model import (
     CoefficientSet,
     SpinDims,
     _abs2,
+    _at,
     _clamp_unit,
     _frozen_array,
     _level_sums,
+    _stacked,
     normalization,
 )
 
@@ -58,89 +62,187 @@ _SIGMA_YY = np.array(
 )
 
 
-def _within_tol(d: np.ndarray, tol: float) -> bool:
-    """Exactly ``np.max(np.abs(d)) <= tol`` for a complex block, mostly without hypot.
+def per_entry(run, size: int) -> dict:
+    """{index: error} of the entries of a stack of ``size`` that fail ``run(idx)``, an index array's stack.
 
-    With M = max(|re|, |im|) over an entry, hypot is faithfully rounded, so
-    its computed modulus obeys M <= |z|_computed <= sqrt(2) M (1 + 2^-52)
-    < 1.5 M.  The parts of the whole block therefore decide: M > tol
-    anywhere fails, and 1.5 M < tol everywhere passes.  That comparison is
-    strict because in the subnormal range 1.5 M itself rounds to even.  Only
-    a block whose largest part lies in the band [tol / 1.5, tol] takes the
-    exact modulus.  The max and min reductions (array methods, which skip
-    the dispatch cost of np.max and np.min) propagate NaN; a NaN fails every
-    comparison, reaches the exact line and fails it there, as it fails the
-    direct formula.
+    The whole stack runs at once.  An entry that raises keeps its error,
+    and the entries before and after it run again; an error that names no
+    entry (LAPACK's, say) halves its stack.  So every entry ends with what
+    it gets on its own, values stored by ``run`` or its error.
     """
-    # kept over the modulus alone: a hypot per entry takes about 3x as long a strip
-    parts = d.view(np.float64)
-    hi = float(parts.max())
-    lo = -float(parts.min())
-    if hi > tol or lo > tol:
-        return False
-    if 1.5 * hi < tol and 1.5 * lo < tol:
-        return True
-    return bool(np.max(np.abs(d)) <= tol)
+    errors, pending = {}, [np.arange(size)]
+    while pending:
+        idx = pending.pop()
+        if not idx.size:
+            continue
+        try:
+            run(idx)
+        except Exception as exc:
+            at = getattr(exc, "index", None)
+            if at is None and idx.size > 1:
+                pending += [idx[:idx.size // 2], idx[idx.size // 2:]]
+                continue
+            at = at or 0
+            errors[int(idx[at])] = exc
+            pending += [idx[:at], idx[at + 1:]]
+    return errors
+
+
+def _moduli(d: np.ndarray) -> np.ndarray:
+    """|z| of the entries of a parts block (..., 2, w), as numpy's complex abs rounds them."""
+    z = np.empty(d.shape[:-2] + d.shape[-1:], dtype=np.complex128)
+    z.real, z.imag = d[..., 0, :], d[..., 1, :]
+    return np.abs(z)
+
+
+def _within_tol(d: np.ndarray, tol: float) -> np.ndarray:
+    """max |z| <= tol for each block of a stack (k, h, 2, w) of parts, axis 2 real and imaginary.
+
+    With M = max(|re|, |im|) over an entry, the modulus is faithfully
+    rounded, so its computed value obeys M <= |z| <= sqrt(2) M (1 + 2^-52)
+    < 1.5 M.  The parts of the whole block therefore decide: M > tol
+    anywhere fails, and 1.5 M < tol everywhere passes (strictly, since in
+    the subnormal range 1.5 M itself rounds to even).  Only a block whose
+    largest part lies in the band between takes the exact modulus.  A NaN
+    fails every comparison and so reaches the modulus, which decides it as
+    the direct formula does.
+    """
+    # kept over the modulus alone: a modulus per entry takes about 3x as long a strip
+    if 1.5 * max(float(d.max()), -float(d.min())) < tol:  # the whole stack passes
+        return np.ones(len(d), dtype=bool)
+    axes = tuple(range(1, d.ndim))
+    hi = d.max(axis=axes)
+    lo = -d.min(axis=axes)
+    ok = ~((hi > tol) | (lo > tol))
+    band = ok & ~((1.5 * hi < tol) & (1.5 * lo < tol))
+    if band.any():
+        ok[band] = _moduli(d[band]).max(axis=(1, 2)) <= tol
+    return ok
 
 
 def _matrix_strips(e: np.ndarray):
-    """(i, e[i:i+32, i:], e[i:, i:i+32]) for each 32-row strip of a square matrix, as views."""
-    for i in range(0, e.shape[0], _STRIP):
-        yield i, e[i:i + _STRIP, i:], e[i:, i:i + _STRIP]
+    """(i, upper, lower) for each 32-row strip of a stack of square matrices e (k, n, n).
+
+    ``upper`` (k, h, 2, n - i) holds the parts of e[:, i:i+h, i:], [c, :, r]
+    those of e[c, r]; ``lower`` those of e[:, i:, i:i+h] conjugated and
+    transposed, so it equals upper for a Hermitian stack.  Both are work
+    buffers that the next strip reuses.
+    """
+    k, n = e.shape[0], e.shape[-1]
+    upper_buf, lower_buf = np.empty((2, k * min(n, _STRIP) * 2 * n))
+    for i in range(0, n, _STRIP):
+        h, w = min(_STRIP, n - i), n - i
+        upper = upper_buf[:k * h * 2 * w].reshape(k, h, 2, w)
+        lower = lower_buf[:k * h * 2 * w].reshape(k, h, 2, w)
+        block = e[:, i:i + h, i:]
+        upper[:, :, 0], upper[:, :, 1] = block.real, block.imag
+        block = e[:, i:, i:i + h].swapaxes(1, 2)
+        lower[:, :, 0] = block.real
+        np.negative(block.imag, out=lower[:, :, 1])
+        yield i, upper, lower
 
 
-def _product_strips(k: np.ndarray):
-    """The strips of :func:`_matrix_strips` for rho = k k^H, never storing rho.
+def _factors(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real factors left (n, 2, 3r) and right (3r, n) of p q^H, for complex p, q (n, r), in two inner orders.
 
-    Each block is one BLAS product into a work buffer that the next strip
-    reuses, so the caller may overwrite a strip's blocks.
+    With p = a + ib and q = c + id, left[s, :, o:o + 2r] @ right[o:o + 2r, t]
+    holds Re (p q^H)[s, t] = [a b]_s . [c d]_t and Im (p q^H)[s, t] =
+    [b -a]_s . [c d]_t for o = 0: one real product of inner dimension 2r,
+    its rows interleaving the parts.  For o = r it takes the same sums with
+    the halves of the inner dimension the other way round.
+    """
+    n, r = p.shape
+    left = np.empty((n, 2, 3, r))
+    left[:, 0, 0] = left[:, 0, 2] = p.real
+    left[:, 1, 0] = left[:, 1, 2] = left[:, 0, 1] = p.imag
+    np.negative(p.real, out=left[:, 1, 1])
+    right = np.empty((3, r, n))
+    right[0] = right[2] = q.real.T
+    right[1] = q.imag.T
+    return left.reshape(n, 2, 3 * r), right.reshape(3 * r, n)
+
+
+def _product_strips(k: np.ndarray, w: np.ndarray):
+    """(i, upper, lower, residual) for each 32-row strip of rho = k k^H, never storing rho.
+
+    ``upper`` and ``lower`` are the (1, h, 2, n - i) blocks of
+    :func:`_matrix_strips`, each one real BLAS product (:func:`_factors`):
+    the lower block of a Hermitian matrix is the upper one's sums taken in
+    the other inner order, so no pass reads a transposed block and the
+    Hermiticity test still compares two computations.  ``residual()``
+    writes the two blocks of rho - w w^H over them, each one product of the
+    signed, augmented factors [k | w] and [k | -w], and returns them
+    (2, h, 2, n - i).  The next strip reuses the buffer, so the caller may
+    overwrite it.
     """
     n = k.shape[0]
-    k_h = k.conj().T
-    upper_buf, lower_buf = np.empty((2, n * min(n, _STRIP)), dtype=np.complex128)
+    rho, residual = _factors(k, k), _factors(np.hstack([k, w]), np.hstack([k, -w]))
+    buf = np.empty((2, 2 * min(n, _STRIP) * n))
+
+    def products(left, right, i, h):
+        blocks = buf[:, :2 * h * (n - i)].reshape(2, 2 * h, n - i)
+        r = right.shape[0] // 3
+        for o, out in zip((0, r), blocks):
+            np.matmul(left[i:i + h, :, o:o + 2 * r].reshape(2 * h, -1), right[o:o + 2 * r, i:], out=out)
+        return blocks.reshape(2, h, 2, n - i)
+
     for i in range(0, n, _STRIP):
-        j = min(i + _STRIP, n)
-        size = (j - i) * (n - i)
-        upper = np.matmul(k[i:j], k_h[:, i:], out=upper_buf[:size].reshape(j - i, n - i))
-        lower = np.matmul(k[i:], k_h[:, i:j], out=lower_buf[:size].reshape(n - i, j - i))
-        yield i, upper, lower
+        h = min(_STRIP, n - i)
+        blocks = products(*rho, i, h)
+        yield i, blocks[:1], blocks[1:], lambda i=i, h=h: products(*residual, i, h)
 
 
-def _checked_strips(strips, n: int):
-    """Walk the strips of an n x n matrix once, yielding each as DensityMatrix's checks pass on it.
+def _checked_strips(strips, n: int, size: int = 1):
+    """Walk the strips of a stack of ``size`` n x n matrices once, yielding each as DensityMatrix's checks pass on it.
 
-    Strip i decides Hermiticity from lower - conj(upper)^T, every pair (r, c)
-    and (c, r) with c in the strip and r >= i, conjugated in row order into
-    one buffer.  The first strip to fail words the error: "finite" if its
-    blocks hold a NaN or inf, else its largest deviation, inf where finite
-    partners differ beyond the float64 range.  A pass leaves every entry
-    finite, so the trace, summed as ``trace()`` sums it, needs no finiteness
-    test.  The caller silences the warnings of inf - inf and of overflow.
+    A strip is (i, upper, lower, ...) with the blocks of :func:`_matrix_strips`.
+    Strip i decides Hermiticity from lower - upper, every pair (r, c) and
+    (c, r) with c in the strip and r >= i.  A matrix's error is worded from
+    its first failing strip: "finite" if its blocks hold a NaN or inf, else
+    its largest deviation, inf where finite partners differ beyond the
+    float64 range; then from its trace, summed as ``trace()`` sums it.  The
+    first failing matrix of the stack raises: once one fails, the walk goes
+    on for those before it only, so a lone matrix stops at its first
+    failing strip.  The caller silences the warnings of inf - inf and of
+    overflow.
     """
-    buf = np.empty(n * min(n, _STRIP), dtype=np.complex128)
-    diag = np.empty(n, dtype=np.complex128)
-    for i, upper, lower in strips:
-        d = buf[:lower.size].reshape(lower.shape)
-        np.conjugate(upper.T, out=d)
-        np.subtract(lower, d, out=d)
-        if not _within_tol(d, _HERMITIAN_TOL):
-            if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
-                raise ValueError("array entries must be finite")
-            dev = np.abs(d).max()
-            at = f" in the strip from row {i}" if n > _STRIP else ""
-            raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e}{at})")
-        diag[i:i + upper.shape[0]] = upper.diagonal()
-        yield i, upper, lower
-    trace_dev = abs(complex(diag.sum()) - 1.0)
-    if not trace_dev <= _TRACE_TOL:
-        raise ValueError(f"trace deviates from 1 by {trace_dev:.3e}")
+    buf = np.empty(size * min(n, _STRIP) * 2 * n)
+    diag = np.empty((size, n), dtype=np.complex128)
+    live, error = size, None
+    for strip in strips:
+        i, upper, lower = strip[:3]
+        h, w = upper.shape[1], upper.shape[3]
+        d = np.subtract(lower[:live], upper[:live], out=buf[:live * h * 2 * w].reshape(live, h, 2, w))
+        bad = ~_within_tol(d, _HERMITIAN_TOL)
+        if bad.any():
+            live = int(np.argmax(bad))
+            if not (np.isfinite(upper[live]).all() and np.isfinite(lower[live]).all()):
+                error = _at(live, ValueError("array entries must be finite"))
+            else:
+                at = f" in the strip from row {i}" if n > _STRIP else ""
+                dev = _moduli(d[live]).max()
+                error = _at(live, ValueError(f"matrix is not Hermitian (max deviation {dev:.3e}{at})"))
+            if not live:
+                raise error
+        # both parts of the strip's diagonal, (live, 2, h), into the complex diag
+        parts = upper[:live].diagonal(axis1=1, axis2=3)
+        diag.view(np.float64).reshape(size, n, 2)[:live, i:i + h] = parts.swapaxes(1, 2)
+        yield strip
+    trace = diag[:live].sum(axis=1)
+    trace_dev = np.hypot(trace.real - 1.0, trace.imag)
+    bad = ~(trace_dev <= _TRACE_TOL)
+    if bad.any():
+        first = int(np.argmax(bad))
+        raise _at(first, ValueError(f"trace deviates from 1 by {trace_dev[first]:.3e}"))
+    if error is not None:
+        raise error
 
 
 @dataclass(frozen=True)
 class PureState:
-    """Dense amplitude tensor of shape (4, m_a, m_b).
+    """Dense amplitude tensor of shape (4, m_a, m_b), or a stack of them (..., 4, m_a, m_b).
 
-    Axis 0 runs over the device levels d = 1..4, then the two apparatus
+    Axis -3 runs over the device levels d = 1..4, then the two apparatus
     indices; flattening in C order puts the device index slowest and the
     second apparatus index fastest.  Unit norm within 1e-12 and finite
     entries are enforced; a frozen array is adopted without a copy under the
@@ -151,20 +253,23 @@ class PureState:
     amp: np.ndarray
 
     def __post_init__(self):
-        amp = _frozen_array(self.amp, (4, self.dims.m_a, self.dims.m_b))
+        amp = _frozen_array(self.amp, np.shape(self.amp)[:-3] + (4, self.dims.m_a, self.dims.m_b))
+        flat = amp.reshape(-1, 4 * self.dims.m_a * self.dims.m_b)
         with np.errstate(over="ignore"):  # a finite amplitude may square to inf, which fails below
-            norm_sq = float(np.sum(_abs2(amp)))
-        if not abs(norm_sq - 1.0) <= 1e-12:
+            norm_sq = _abs2(flat).sum(axis=1)
+        bad = ~(np.abs(norm_sq - 1.0) <= 1e-12)
+        if bad.any():
             # a NaN or inf entry fails the test above; only then is it looked for
-            if not np.isfinite(amp).all():
-                raise ValueError("array entries must be finite")
-            raise ValueError(f"state norm^2 deviates from 1 by {norm_sq - 1.0:.3e}")
+            first = int(np.argmax(bad))
+            if not np.isfinite(flat[first]).all():
+                raise _at(first, ValueError("array entries must be finite"))
+            raise _at(first, ValueError(f"state norm^2 deviates from 1 by {norm_sq[first] - 1.0:.3e}"))
         object.__setattr__(self, "amp", amp)
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace matrix of a subsystem.
+    """Hermitian, unit-trace matrix of a subsystem, or a stack of them (..., dim, dim).
 
     Hermiticity, trace and finite entries are checked at construction;
     positivity (every eigenvalue >= -1e-10, the tolerance-friendly floor for
@@ -179,52 +284,93 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = _frozen_array(self.entries, (self.dim, self.dim))
+        entries = _frozen_array(self.entries, np.shape(self.entries)[:-2] + (self.dim, self.dim))
+        stack = entries.reshape(-1, self.dim, self.dim)
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in _checked_strips(_matrix_strips(entries), self.dim):
+            for _ in _checked_strips(_matrix_strips(stack), self.dim, len(stack)):
                 pass
         object.__setattr__(self, "entries", entries)
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries)[0])
+    def min_eigenvalue(self):
+        return np.linalg.eigvalsh(self.entries)[..., 0]
 
 
-def assemble_state(cs: CoefficientSet) -> PureState:
-    """Build the normalized amplitude tensor c_d (1 + x[d,a]) (1 + y[d,b]) / N."""
-    mm = cs.dims.m_a * cs.dims.m_b
+def assemble_state(cs, scale: float = 1.0) -> PureState:
+    """Build the normalized amplitude tensor c_d (1 + x[d,a]) (1 + y[d,b]) / N.
+
+    ``cs`` is one CoefficientSet, or a sequence of them with one dims whose
+    states stack.  The state is that of ``cs.scaled(scale)``, bit for bit.
+    """
+    single = isinstance(cs, CoefficientSet)
+    dims = cs.dims if single else cs[0].dims
+    if not single and any(s.dims != dims for s in cs):
+        raise ValueError("a stack of draws must share its dims")
+    mm = dims.m_a * dims.m_b
     if mm > ORACLE_MAX_DIM:
         raise ValueError(
             f"dense oracle is gated to m_a*m_b <= {ORACLE_MAX_DIM}, got {mm}"
         )
-    n = normalization(cs)
-    amp = (cs.c[:, None, None] / n) * (1.0 + cs.x)[:, :, None] * (1.0 + cs.y)[:, None, :]
+    n = normalization(cs, scale)
+    c, x, y = (v[0] if single else v for v in _stacked(cs, scale))
+    amp = (c / np.asarray(n)[..., None])[..., None, None] * (1.0 + x)[..., None] * (1.0 + y)[..., None, :]
     amp.setflags(write=False)
-    return PureState(cs.dims, amp)
+    return PureState(dims, amp)
+
+
+def _partial_trace(state: PureState, keep: str) -> np.ndarray:
+    """The frozen entries of :func:`reduce`, unchecked, with the state's stack axes."""
+    kept = _KEPT_AXES.get(keep)
+    if kept is None:
+        raise ValueError(f"unknown subsystem selector {keep!r}")
+    lead = state.amp.shape[:-3]
+    t = state.amp[..., _DEVICE_ROW_FOR_PRODUCT, :, :].reshape(*lead, 2, 2, state.dims.m_a, state.dims.m_b)
+    # K: the kept axes first, in order (the last one fastest), and the traced
+    # ones flattened into its columns, so that rho = K K^H
+    first = len(lead)
+    k = np.moveaxis(t, [first + a for a in kept], range(first, first + len(kept)))
+    k = k.reshape(*lead, math.prod(k.shape[first:first + len(kept)]), -1)
+    rho = k @ k.conj().swapaxes(-1, -2)
+    # frozen, so DensityMatrix adopts it without a copy
+    rho.setflags(write=False)
+    return rho
 
 
 def reduce(state: PureState, keep: str) -> DensityMatrix:
-    """Partial trace onto one subsystem.
+    """Partial trace onto one subsystem, of each state of a stack.
 
     ``keep`` selects the factor: "D" (both qubits, in the product basis
     |00>, |01>, |10>, |11>), "Q1" or "Q2" (single qubit), "M" (both
     apparatus spins, second index fastest), "A" or "B" (one spin).
     """
-    kept = _KEPT_AXES.get(keep)
-    if kept is None:
-        raise ValueError(f"unknown subsystem selector {keep!r}")
-    t = state.amp[_DEVICE_ROW_FOR_PRODUCT].reshape(2, 2, state.dims.m_a, state.dims.m_b)
-    # K: the kept axes first, in order (the last one fastest), and the traced
-    # ones flattened into its columns, so that rho = K K^H
-    k = np.moveaxis(t, kept, range(len(kept)))
-    k = k.reshape(math.prod(k.shape[:len(kept)]), -1)
-    rho = k @ k.conj().T
-    # frozen, so DensityMatrix adopts it without a copy
-    rho.setflags(write=False)
-    return DensityMatrix(rho.shape[0], rho)
+    rho = _partial_trace(state, keep)
+    return DensityMatrix(rho.shape[-1], rho)
 
 
-def wootters_concurrence(rho: DensityMatrix) -> float:
-    """Concurrence of a two-qubit density matrix via the spin-flip spectrum.
+def reductions(sets, keeps: tuple[str, ...]) -> list[DensityMatrix]:
+    """The reductions onto each of ``keeps`` of a sequence of draws of any dims, one stack per keep in draw order.
+
+    The amplitude tensors stack per dims; each stack of reductions is then
+    checked once.  An error's index is the draw's position in ``sets``.
+    """
+    stacks = {}
+    for dims in dict.fromkeys(cs.dims for cs in sets):
+        group = [i for i, cs in enumerate(sets) if cs.dims == dims]
+        try:
+            state = assemble_state([sets[i] for i in group])
+        except ValueError as exc:
+            if hasattr(exc, "index"):
+                exc.index = group[exc.index]
+            raise
+        for keep in keeps:
+            rho = _partial_trace(state, keep)
+            stacks.setdefault(keep, np.empty((len(sets), *rho.shape[1:]), dtype=np.complex128))[group] = rho
+    for rho in stacks.values():
+        rho.setflags(write=False)  # so DensityMatrix adopts it without a copy
+    return [DensityMatrix(rho.shape[-1], rho) for rho in stacks.values()]
+
+
+def wootters_concurrence(rho: DensityMatrix):
+    """Concurrence of a two-qubit density matrix via the spin-flip spectrum; an array for a stack.
 
     The descending l_i are the square roots of the eigenvalues of
     rho * (YY rho* YY), with YY the tensored second Pauli matrix in the
@@ -233,25 +379,37 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
     from the Hermitian eigendecomposition: identical spectrum, but the
     singular values carry no cancellation error, so near-saturated states
     (two l_i almost equal) keep full precision where the non-Hermitian
-    eigenvalue route loses half the digits.
+    eigenvalue route loses half the digits.  LAPACK factors each matrix of
+    a stack on its own.
     """
     if rho.dim != 4:
         raise ValueError("concurrence is defined for 4x4 (two-qubit) matrices")
     mu, u = np.linalg.eigh(rho.entries)
-    if mu[0] < _EIGENVALUE_FLOOR:
-        raise ValueError(f"density matrix has eigenvalue {mu[0]:.3e} below the floor")
-    factor = u * np.sqrt(np.clip(mu, 0.0, None))
-    k = factor.T @ _SIGMA_YY @ factor
+    low = mu[..., 0].reshape(-1)
+    bad = low < _EIGENVALUE_FLOOR
+    if bad.any():
+        first = int(np.argmax(bad))
+        raise _at(first, ValueError(f"density matrix has eigenvalue {low[first]:.3e} below the floor"))
+    factor = u * np.sqrt(np.clip(mu, 0.0, None))[..., None, :]
+    k = factor.swapaxes(-1, -2) @ _SIGMA_YY @ factor
     lam = np.linalg.svd(k, compute_uv=False)
-    return _clamp_unit(max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3])))
+    c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
+    return _clamp_unit(np.where(c > 0.0, c, 0.0))  # max{0, c}, NaN to 0 as max(0.0, nan) gives
 
 
-def one_tangle(rho: DensityMatrix) -> float:
-    """4 det(rho) for a single-qubit state, clamped to [0, 1] near the edges."""
+def one_tangle(rho: DensityMatrix):
+    """4 det(rho) for a single-qubit state, clamped to [0, 1] near the edges; an array for a stack.
+
+    The determinant's real part comes from the entries' parts, with no
+    complex product, so a stack gives each matrix's value bit for bit.
+    """
     if rho.dim != 2:
         raise ValueError("one-tangle is defined for 2x2 (single-qubit) matrices")
-    e = rho.entries
-    return _clamp_unit(4.0 * (e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]).real)
+    re, im = rho.entries.real, rho.entries.imag
+    det = (re[..., 0, 0] * re[..., 1, 1] - im[..., 0, 0] * im[..., 1, 1]) - (
+        re[..., 0, 1] * re[..., 1, 0] - im[..., 0, 1] * im[..., 1, 0]
+    )
+    return _clamp_unit(4.0 * det)
 
 
 def separability_structure_check(cs: CoefficientSet, tol: float = 1e-10) -> bool:
@@ -270,19 +428,14 @@ def separability_structure_check(cs: CoefficientSet, tol: float = 1e-10) -> bool
     """
     amp = assemble_state(cs).amp.reshape(4, -1)
     k = amp[amp.any(axis=1)].T
-    levels, n_sq = _level_sums(cs)
-    columns = [
-        np.sqrt(w * xd * yd / n_sq)
-        * np.kron((1.0 + cs.x[d]) / np.sqrt(xd), (1.0 + cs.y[d]) / np.sqrt(yd))
-        for d, w, xd, yd in levels
-    ]
-    factor = np.stack(columns, axis=1)
-    factor_h = factor.conj().T
+    (w,), (xs,), (ys,), (n_sq,) = _level_sums(*_stacked(cs))
+    live = w != 0.0
+    a = (1.0 + cs.x[live]) / np.sqrt(xs[live])[:, None]
+    b = (1.0 + cs.y[live]) / np.sqrt(ys[live])[:, None]
+    # column d: sqrt(p_d) times the Kronecker product of a_d and b_d
+    factor = np.sqrt(w[live] * xs[live] * ys[live] / n_sq)[:, None, None] * (a[:, :, None] * b[:, None, :])
     separable = True
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, upper, lower in _checked_strips(_product_strips(k), k.shape[0]):
-            if separable:
-                upper -= factor[i:i + _STRIP] @ factor_h[:, i:]
-                lower -= factor[i:] @ factor_h[:, i:i + _STRIP]
-                separable = _within_tol(upper, tol) and _within_tol(lower, tol)
+        for *_, residual in _checked_strips(_product_strips(k, factor.reshape(len(a), -1).T), k.shape[0]):
+            separable = separable and bool(_within_tol(residual(), tol).all())
     return separable

@@ -87,7 +87,7 @@ def _draw_bytes(dims: SpinDims) -> int:
     """Bytes one trial holds at once: 64 (m_a + m_b) + 32 max(m_a, m_b).
 
     At m_a = m_b = m that is 160 m: a single draw as a CoefficientSet, as
-    the crosscheck and ``single`` make it, is two 4 x m complex128 matrices
+    ``single`` makes it, is two 4 x m complex128 matrices
     plus two rows of temporaries.  The engine holds less: per trial, the
     unit draw of four complex128 rows (64 m), one side's two rows scaled by
     one n's bound (32 m) and temporaries of at most two complex128 rows
@@ -281,22 +281,51 @@ class _Draws:
         return np.multiply(self.unit[:size, 2 * side:2 * side + 2], bound, out=self.rows[:size])
 
 
-def _crosscheck(
-    config: SweepConfig, dims: SpinDims, two_s: int, trial: int, bounds: list[float], measured: np.ndarray
-) -> None:
-    """Raise SweepError unless the oracle, on the unit draw scaled by each n's bound, agrees with that n's row."""
-    n = config.n_values[0]  # a failed draw names the first n, a failed check its own n
-    try:
-        rng = trial_rng(config.master_seed, two_s, trial)
-        unit = sample_coefficients(dims, 1.0, 1.0, config.c, rng, config.complex_mode)
-        for n, bound, (c, tau, _) in zip(config.n_values, bounds, measured):
-            state = oracle.assemble_state(unit.scaled(bound))
-            dc = abs(c - oracle.wootters_concurrence(oracle.reduce(state, "D")))
-            dtau = abs(tau - oracle.one_tangle(oracle.reduce(state, "Q1")))
-            if dc > ORACLE_CROSSCHECK_TOL or dtau > ORACLE_CROSSCHECK_TOL:
-                raise ValueError(f"closed form disagrees with oracle (dC={dc:.3e}, dtau={dtau:.3e})")
-    except Exception as exc:
-        raise SweepError(two_s, n, trial, str(exc)) from exc
+def _crosscheck(config: SweepConfig, dims: SpinDims, two_s: int, first: int, rows: np.ndarray) -> None:
+    """Raise SweepError unless the dense oracle agrees with the (n, trial) rows of trials first, first + 1, ...
+
+    ``rows`` (n, trials, 3) are the engine's.  Each trial's unit draw comes
+    from its stream through sample_coefficients, and the oracle runs once
+    for each n on the unit draws scaled by its bound (oracle.per_entry), a
+    chunk of trials whose states take at most _BATCH_BYTES at a time.  The
+    error names the (two_s, n, trial) a pass over the trials in order, and
+    over the n within each, would fail first: a failed draw names the first
+    n, a failed check its own n.
+    """
+    bounds = [x_max_schedule(two_s, n) for n in config.n_values]
+    chunk = max(1, _BATCH_BYTES // (64 * dims.m_a * dims.m_b))  # a state is 4 m_a m_b complex128
+    for lo in range(0, rows.shape[1], chunk):
+        units, failed_draw = [], None
+        for trial in range(first + lo, first + min(lo + chunk, rows.shape[1])):
+            try:
+                rng = trial_rng(config.master_seed, two_s, trial)
+                units.append(sample_coefficients(dims, 1.0, 1.0, config.c, rng, config.complex_mode))
+            except Exception as exc:
+                failed_draw = trial, exc
+                break
+        oracle_rows = np.full((len(bounds), len(units), 2), np.nan)
+        errors = {}  # (trial offset, n index) -> the oracle's error
+        for j, bound in enumerate(bounds):
+
+            def run(idx, j=j, bound=bound):
+                state = oracle.assemble_state([units[i] for i in idx], bound)
+                oracle_rows[j, idx, 0] = oracle.wootters_concurrence(oracle.reduce(state, "D"))
+                oracle_rows[j, idx, 1] = oracle.one_tangle(oracle.reduce(state, "Q1"))
+
+            errors.update(((t, j), exc) for t, exc in oracle.per_entry(run, len(units)).items())
+        dev = np.abs(rows[:, lo:lo + len(units), :2] - oracle_rows)
+        bad = (dev > ORACLE_CROSSCHECK_TOL).any(axis=-1).T  # trial-major, as the trials run
+        for t, j in errors:
+            bad[t, j] = True
+        if bad.any():
+            t, j = (int(v) for v in np.argwhere(bad)[0])
+            cause = errors.get((t, j)) or ValueError(
+                f"closed form disagrees with oracle (dC={dev[j, t, 0]:.3e}, dtau={dev[j, t, 1]:.3e})"
+            )
+            raise SweepError(two_s, config.n_values[j], first + lo + t, str(cause)) from cause
+        if failed_draw is not None:
+            trial, exc = failed_draw
+            raise SweepError(two_s, config.n_values[0], trial, str(exc)) from exc
 
 
 def _task_rows(config: SweepConfig, two_s: int, first: int, stop: int) -> np.ndarray:
@@ -329,8 +358,7 @@ def _task_rows(config: SweepConfig, two_s: int, first: int, stop: int) -> np.nda
                 raise SweepError(two_s, n, lo + i, message)
             out[j, lo - first:hi - first] = np.stack(measures, axis=-1)
     if dims.m_a * dims.m_b <= config.oracle_crosscheck_max_dim:
-        for trial in range(first, stop):
-            _crosscheck(config, dims, two_s, trial, bounds, out[:, trial - first])
+        _crosscheck(config, dims, two_s, first, out)
     return out
 
 

@@ -469,17 +469,20 @@ def test_verify_impossible_tolerance_fails(capsys):
 
 
 @pytest.mark.parametrize(
-    "family, fake",
+    "family, name, fake",
     [
         # a slack that is not tau - C**2 = 0.25
-        ("monogamy", lambda cs: SimpleNamespace(concurrence=0.5, one_tangle=0.5, monogamy_slack=0.0)),
-        # a slack that never shrinks with the perturbation scale
-        ("quadratic-gap", lambda cs: SimpleNamespace(concurrence=0.0, one_tangle=1.0, monogamy_slack=1.0)),
+        ("monogamy", "evaluate",
+         lambda cs: SimpleNamespace(concurrence=0.5, one_tangle=0.5, monogamy_slack=0.0)),
+        # a slack that never shrinks with the perturbation scale; the family
+        # evaluates its three scalings as one stack
+        ("quadratic-gap", "_from_sums",
+         lambda x_sums, y_sums, w3, w4: tuple(np.full(np.shape(x_sums[0]), v) for v in (0.0, 1.0, 1.0))),
     ],
     ids=["monogamy", "quadratic-gap"],
 )
-def test_verify_forced_failure_prints_fail_and_exits_1(capsys, monkeypatch, family, fake):
-    monkeypatch.setattr(cli.closedform, "evaluate", fake)
+def test_verify_forced_failure_prints_fail_and_exits_1(capsys, monkeypatch, family, name, fake):
+    monkeypatch.setattr(cli.closedform, name, fake)
     assert run_cli(["verify", "--cases", "2", "--two-s-max", "2"]) == 1
     captured = capsys.readouterr()
     assert f"FAIL {family}: case=1 two_s=1" in captured.err

@@ -237,7 +237,7 @@ def test_separability_random_sets(seed, two_s_a, two_s_b, complex_mode):
 def _separability_residual(cs):
     """(max |W W^H - rho_M|, max |rho_M|) from the materialized partial trace and the full mixture."""
     rho = reduce(assemble_state(cs), "M").entries
-    n_sq = model._level_sums(cs)[1]
+    n_sq = model._level_sums(*model._stacked(cs))[3][0]
     columns = []
     for d in range(4):
         av, bv = 1.0 + cs.x[d], 1.0 + cs.y[d]
@@ -305,15 +305,37 @@ def _apply(e, i, faults, put):
             e[r - i, c - i] = value if put else e[r - i, c - i] + value
 
 
+def _apply_parts(block, i, faults, put, lower):
+    """_apply on a parts block (1, h, 2, w) of strip i: upper holds rho_M[r, c] at [r - i, :, c - i],
+    lower holds conj(rho_M[r, c]) at [c - i, :, r - i]."""
+    for (r, c), value in faults.items():
+        if lower:
+            r, c, value = c, r, np.conj(value)
+        if 0 <= r - i < block.shape[1] and 0 <= c - i < block.shape[3]:
+            part = block[0, r - i, :, c - i]
+            new = complex(value) if put else complex(*part) + value
+            part[:] = new.real, new.imag
+
+
 def _inject(monkeypatch, faults, put=False):
-    """Give the separability pass strips of rho_M that carry the faults in every block holding them."""
+    """Give the separability pass strips of rho_M that carry the faults in every block holding them.
+
+    The residual rho_M - W W^H carries them too, as it would if rho_M held them.
+    """
     product_strips = oracle._product_strips
 
-    def faulty_strips(k):
-        for i, upper, lower in product_strips(k):
-            _apply(upper, i, faults, put)
-            _apply(lower, i, faults, put)
-            yield i, upper, lower
+    def faulty_strips(k, w):
+        for i, upper, lower, residual in product_strips(k, w):
+            _apply_parts(upper, i, faults, put, False)
+            _apply_parts(lower, i, faults, put, True)
+
+            def faulty_residual(i=i, residual=residual):
+                blocks = residual()
+                _apply_parts(blocks[:1], i, faults, put, False)
+                _apply_parts(blocks[1:], i, faults, put, True)
+                return blocks
+
+            yield i, upper, lower, faulty_residual
 
     monkeypatch.setattr(oracle, "_product_strips", faulty_strips)
 
@@ -419,6 +441,10 @@ def test_non_finite_entry_after_the_first_strip_fails_both_checks(monkeypatch, v
         # finite partners whose difference overflows: not Hermitian, and no
         # RuntimeWarning first
         ({(100, 200): 1.7e308, (200, 100): -1.7e308}, "not Hermitian .max deviation inf in the strip from row 96"),
+        # (200, 100) lies in the lower block of the fourth strip only: a fault
+        # in only the imaginary part of the entry, then in only its real part
+        ({(200, 100): 3e-9j}, r"^matrix is not Hermitian \(max deviation 3\.000e-09 in the strip from row 96\)$"),
+        ({(200, 100): -2e-9}, r"^matrix is not Hermitian \(max deviation 2\.000e-09 in the strip from row 96\)$"),
     ],
 )
 @pytest.mark.filterwarnings("error")
@@ -485,6 +511,130 @@ def test_density_matrix_words_the_first_failing_strip(faults, message):
     _apply(m, 0, faults, put=False)
     with pytest.raises(ValueError, match=message):
         DensityMatrix(130, m)
+
+
+# ---------------------------------------------------------------------------
+# stacks: one pass gives each matrix's values and errors bit for bit
+
+
+def _reductions(keep, count=40):
+    """The reductions onto keep of count random draws of both modes and mixed sizes, four-level ones too."""
+    sets = []
+    for seed in range(count):
+        two_s = 1 + seed % 6
+        if seed % 4 == 3:
+            sets.append(_random_four_level_set(seed, two_s))
+        else:
+            sets.append(random_set(seed, two_s, x_max=0.5, c=random_c(seed), complex_mode=seed % 2 == 1))
+    return np.stack([reduce(assemble_state(cs), keep).entries for cs in sets])
+
+
+def _stack_error(build, stack):
+    with pytest.raises(ValueError) as raised:
+        build(stack)
+    return raised.value
+
+
+def test_stacked_read_outs_are_each_matrix_bit_for_bit():
+    rho_d = _reductions("D")
+    c = wootters_concurrence(DensityMatrix(4, rho_d))
+    assert c.shape == (len(rho_d),)
+    assert c.tobytes() == np.array([wootters_concurrence(DensityMatrix(4, e)) for e in rho_d]).tobytes()
+    for keep in ("Q1", "Q2"):
+        rho_q = _reductions(keep)
+        tau = one_tangle(DensityMatrix(2, rho_q))
+        assert tau.tobytes() == np.array([one_tangle(DensityMatrix(2, e)) for e in rho_q]).tobytes()
+    # a leading shape of two axes reads out in that shape
+    assert wootters_concurrence(DensityMatrix(4, rho_d.reshape(5, 8, 4, 4))).tobytes() == c.tobytes()
+
+
+def test_stacked_states_and_reductions_are_each_state_bit_for_bit():
+    sets = [random_set(seed, 3, x_max=0.5, c=random_c(seed)) for seed in range(12)]
+    state = assemble_state(sets)
+    assert state.amp.shape == (12, 4, 4, 4)
+    for keep in ("D", "Q1", "Q2", "M", "A", "B"):
+        stacked = reduce(state, keep).entries
+        for cs, entries in zip(sets, stacked):
+            assert entries.tobytes() == reduce(assemble_state(cs), keep).entries.tobytes(), keep
+    # scaling the stack is bitwise the scaled sets' states
+    scaled = assemble_state(sets, 0.0625).amp
+    assert scaled.tobytes() == assemble_state([cs.scaled(0.0625) for cs in sets]).amp.tobytes()
+    with pytest.raises(ValueError, match="share its dims"):
+        assemble_state([sets[0], random_set(1, 4)])
+
+
+def _bad(dim, kind):
+    """A dim x dim matrix that fails one DensityMatrix check: a deviation, a NaN or the trace."""
+    e = np.eye(dim, dtype=complex) / dim
+    if kind == "hermitian":
+        e[0, dim - 1] += 2e-9
+    elif kind == "nan":
+        e[dim - 1, 0] = np.nan
+    else:
+        e[0, 0] += 3e-11
+    return e
+
+
+@pytest.mark.parametrize("dim", [2, 4, 40])
+@pytest.mark.parametrize("kind", ["hermitian", "nan", "trace"])
+def test_a_stack_raises_the_error_of_its_first_failing_matrix(dim, kind):
+    good = np.eye(dim, dtype=complex) / dim
+    bad = _bad(dim, kind)
+    with pytest.raises(ValueError) as alone:
+        DensityMatrix(dim, bad)
+    stack = np.stack([good, good, bad, good, bad])
+    error = _stack_error(lambda e: DensityMatrix(dim, e), stack)
+    assert (str(error), error.index) == (str(alone.value), 2)
+
+
+def test_a_stack_names_its_first_failing_matrix_whatever_strip_fails_it():
+    # matrix 1 fails only in the second strip of its 40 rows, matrix 3 in the
+    # first; matrix 0 fails only its trace, which is checked after every strip
+    good = np.eye(40, dtype=complex) / 40
+    late, early, trace = good.copy(), _bad(40, "hermitian"), _bad(40, "trace")
+    late[35, 38] += 5e-9
+    errors = {}
+    for name, m in (("late", late), ("trace", trace)):
+        with pytest.raises(ValueError) as alone:
+            DensityMatrix(40, m)
+        errors[name] = str(alone.value)
+    assert errors["late"].endswith("in the strip from row 32)")
+    error = _stack_error(lambda e: DensityMatrix(40, e), np.stack([good, late, good, early]))
+    assert (str(error), error.index) == (errors["late"], 1)
+    error = _stack_error(lambda e: DensityMatrix(40, e), np.stack([trace, late, good, early]))
+    assert (str(error), error.index) == (errors["trace"], 0)
+
+
+def test_a_stacked_read_out_raises_the_error_of_its_first_failing_matrix():
+    # Hermitian with unit trace, so DensityMatrix accepts them; the floor is wootters'
+    low = np.diag([0.5, 0.3, 0.3, -0.1]).astype(complex)
+    lower = np.diag([0.6, 0.3, 0.3, -0.2]).astype(complex)
+    with pytest.raises(ValueError) as alone:
+        wootters_concurrence(DensityMatrix(4, low))
+    stack = np.stack([BELL_PROJECTOR, BELL_PROJECTOR, low, lower])
+    error = _stack_error(lambda e: wootters_concurrence(DensityMatrix(4, e)), stack)
+    assert (str(error), error.index) == (str(alone.value), 2)
+
+
+def test_per_entry_gives_each_entry_its_own_values_or_error():
+    # entry 2 raises its own error in any stack; entry 7 raises a ValueError
+    # that names no entry, which halving the stacks narrows down to it
+    values = np.full(9, np.nan)
+    runs = []
+
+    def run(idx):
+        runs.append(idx.tolist())
+        for j, i in enumerate(idx):
+            if i == 2:
+                raise oracle._at(j, ValueError("entry 2"))
+            if i == 7:
+                raise ValueError("no entry named")
+        values[idx] = idx
+
+    errors = oracle.per_entry(run, 9)
+    assert {i: str(e) for i, e in errors.items()} == {2: "entry 2", 7: "no entry named"}
+    assert [i for i in range(9) if values[i] == i] == [0, 1, 3, 4, 5, 6, 8]
+    assert runs[0] == list(range(9))
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +802,10 @@ def test_part_wise_decision_equals_the_modulus_decision(pairs, tol, relative):
     d = np.array([complex(re, im) for re, im in pairs])
     if relative:
         tol = tol * float(np.max(np.abs(d.view(np.float64))))
-    assert oracle._within_tol(d, tol) == (np.max(np.abs(d)) <= tol)
+    # one block of one row, its parts along axis 2; its callers silence 1.5 * 1.8e308
+    parts = np.stack([d.real, d.imag])[None, None]
+    with np.errstate(over="ignore"):
+        assert oracle._within_tol(parts, tol).tolist() == [np.max(np.abs(d)) <= tol]
 
 
 def test_density_matrix_rejects_defect_in_far_corner_tile():

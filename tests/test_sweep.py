@@ -1,3 +1,4 @@
+import dataclasses
 import multiprocessing
 import pickle
 import tracemalloc
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import spinshield.sweep as sweep_mod
+from spinshield import oracle
 from spinshield.model import SpinDims, sample_coefficients, x_max_schedule
 from spinshield.closedform import evaluate
 from spinshield.oracle import ORACLE_MAX_DIM
@@ -247,6 +249,99 @@ def test_crosscheck_failure_at_a_later_n_names_that_n(monkeypatch):
         run_sweep(config, workers=1)
     assert (err.value.two_s, err.value.n, err.value.trial) == (2, 2, 1)
     assert "closed form disagrees with oracle" in str(err.value)
+
+
+def _per_trial_crosscheck(config, two_s, rows):
+    """(n, trial, message) of the first failure of the pass the stacked crosscheck replaced.
+
+    Each trial in order, each n within it: the oracle on the trial's unit
+    draw scaled by the n's bound, one state at a time, against that n's row.
+    """
+    dims = SpinDims(two_s)
+    for t in range(rows.shape[1]):
+        unit = sample_coefficients(dims, 1.0, 1.0, config.c, trial_rng(config.master_seed, two_s, t + 1))
+        for j, n in enumerate(config.n_values):
+            try:
+                state = oracle.assemble_state(unit.scaled(x_max_schedule(two_s, n)))
+                dc = abs(rows[j, t, 0] - oracle.wootters_concurrence(oracle.reduce(state, "D")))
+                dtau = abs(rows[j, t, 1] - oracle.one_tangle(oracle.reduce(state, "Q1")))
+                if dc > sweep_mod.ORACLE_CROSSCHECK_TOL or dtau > sweep_mod.ORACLE_CROSSCHECK_TOL:
+                    raise ValueError(f"closed form disagrees with oracle (dC={dc:.3e}, dtau={dtau:.3e})")
+            except ValueError as exc:
+                return n, t + 1, str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "faults",
+    [
+        {(3, 2): "value", (5, 1): "value"},
+        {(2, 3): "error", (3, 1): "value", (4, 1): "error"},
+        {(4, 1): "value", (4, 2): "error"},
+        {(6, 3): "error"},
+    ],
+    ids=["value-then-value", "error-first", "same-trial", "last"],
+)
+def test_a_crosscheck_failure_inside_a_stack_names_the_per_trial_coordinates(monkeypatch, faults):
+    # faults keyed by (trial, n): the oracle's C of that state is off by 1e-6,
+    # or its read-out raises.  The states of a stack are told apart by their
+    # rho_D, which the stack gives bit for bit
+    config = SweepConfig(two_s_values=(4,), n_values=(1, 2, 3), trials=6)
+    dims = SpinDims(4)
+    key = {}
+    for trial in range(1, 7):
+        unit = sample_coefficients(dims, 1.0, 1.0, config.c, trial_rng(0, 4, trial))
+        for n in config.n_values:
+            rho = oracle.reduce(oracle.assemble_state(unit.scaled(x_max_schedule(4, n))), "D")
+            key[rho.entries.tobytes()] = (trial, n)
+    original = oracle.wootters_concurrence
+
+    def faulty(rho):
+        c = np.array(original(rho), ndmin=1)
+        for i, entries in enumerate(rho.entries.reshape(-1, 4, 4)):
+            fault = faults.get(key[entries.tobytes()])
+            if fault == "error":
+                raise oracle._at(i, ValueError("injected read-out error"))
+            if fault == "value":
+                c[i] -= 1e-6
+        return c if rho.entries.ndim == 3 else float(c[0])
+
+    monkeypatch.setattr(oracle, "wootters_concurrence", faulty)
+    rows = sweep_mod._task_rows(dataclasses.replace(config, oracle_crosscheck_max_dim=0), 4, 1, 7)
+    n, trial, message = _per_trial_crosscheck(config, 4, rows)
+    assert (trial, n) == min(faults)
+    with pytest.raises(SweepError) as err:
+        sweep_mod._task_rows(config, 4, 1, 7)
+    assert (err.value.two_s, err.value.n, err.value.trial, err.value.detail) == (4, n, trial, message)
+
+
+@pytest.mark.parametrize("earlier_fault", [False, True])
+def test_a_crosscheck_draw_failure_comes_after_the_trials_before_it(monkeypatch, earlier_fault):
+    # trial 3's crosscheck draw fails, which names the first n; a disagreement
+    # at trial 2, n = 3 comes first in the per-trial order
+    config = SweepConfig(two_s_values=(2,), n_values=(1, 3), trials=5)
+    rows = sweep_mod._task_rows(config, 2, 1, 6)
+    if earlier_fault:
+        rows[1, 1, 1] += 1e-6
+    trials = []
+    original_rng, original_draw = sweep_mod.trial_rng, sweep_mod.sample_coefficients
+
+    def recording_rng(master_seed, two_s, trial):
+        trials.append(trial)
+        return original_rng(master_seed, two_s, trial)
+
+    def failing_draw(*args):
+        if trials[-1] == 3:
+            raise RuntimeError("injected draw failure")
+        return original_draw(*args)
+
+    monkeypatch.setattr(sweep_mod, "trial_rng", recording_rng)
+    monkeypatch.setattr(sweep_mod, "sample_coefficients", failing_draw)
+    with pytest.raises(SweepError) as err:
+        sweep_mod._crosscheck(config, SpinDims(2), 2, 1, rows)
+    expected = (3, 2, "closed form disagrees") if earlier_fault else (1, 3, "injected draw failure")
+    assert (err.value.n, err.value.trial) == expected[:2]
+    assert err.value.detail.startswith(expected[2])
 
 
 def test_run_sweep_skips_crosscheck_above_gate():
