@@ -275,12 +275,6 @@ def sample_coefficients(
     return CoefficientSet(dims, c, x, y)
 
 
-def _at(index, exc: ValueError) -> ValueError:
-    """``exc`` marked as the error of entry ``index`` of a stack, in its ``index`` attribute."""
-    exc.index = int(index)
-    return exc
-
-
 def _stacked(cs, scale: float = 1.0) -> tuple:
     """(c, x, y) of a CoefficientSet, or of a sequence of them stacked along a leading axis.
 
@@ -314,13 +308,11 @@ def normalization(cs, scale: float = 1.0):
 
     N**2 = sum_d |c_d|^2 * (sum_alpha |1 + x[d,alpha]|^2)
                          * (sum_beta |1 + y[d,beta]|^2),
-    of each set scaled by ``scale`` (see :func:`_stacked`).  A sequence's
-    DegenerateStateError is marked with the first set whose weights all
-    vanish.
+    of each set scaled by ``scale`` (see :func:`_stacked`).  A sequence
+    raises DegenerateStateError if any of its sets has no weight.
     """
     n_sq = _level_sums(*_stacked(cs, scale))[3]
-    bad = n_sq <= 0.0
-    if bad.any():
-        raise _at(np.argmax(bad), DegenerateStateError("all device weights vanish; state cannot be normalized"))
+    if (n_sq <= 0.0).any():
+        raise DegenerateStateError("all device weights vanish; state cannot be normalized")
     n = np.sqrt(n_sq)
     return float(n[0]) if isinstance(cs, CoefficientSet) else n

@@ -8,8 +8,8 @@ matrices.  The dense route is gated to apparatus dimensions
 ones that scale.  :func:`reduce` materializes the matrix it returns; the
 apparatus check forms the m_a m_b x m_a m_b matrix of the two spins one
 32-row strip at a time and never stores it.  States, density matrices and
-the read-outs take a leading stack axis; a stack raises the error of its
-first failing entry, with the entry's position as the error's ``index``.
+the read-outs take a leading stack axis; :func:`per_entry` tells which
+entries of a stack fail, each with the error it raises alone.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .model import (
     CoefficientSet,
     SpinDims,
     _abs2,
-    _at,
     _clamp_unit,
     _frozen_array,
     _level_sums,
@@ -65,26 +64,21 @@ _SIGMA_YY = np.array(
 def per_entry(run, size: int) -> dict:
     """{index: error} of the entries of a stack of ``size`` that fail ``run(idx)``, an index array's stack.
 
-    The whole stack runs at once.  An entry that raises keeps its error,
-    and the entries before and after it run again; an error that names no
-    entry (LAPACK's, say) halves its stack.  So every entry ends with what
-    it gets on its own, values stored by ``run`` or its error.
+    The whole stack runs at once; a stack that raises runs again as its two
+    halves, down to single entries.  So every entry ends with what it gets
+    on its own, values stored by ``run`` or its error.  An empty stack does
+    not run.
     """
-    errors, pending = {}, [np.arange(size)]
+    errors, pending = {}, [np.arange(size)] if size else []
     while pending:
         idx = pending.pop()
-        if not idx.size:
-            continue
         try:
             run(idx)
         except Exception as exc:
-            at = getattr(exc, "index", None)
-            if at is None and idx.size > 1:
+            if idx.size == 1:
+                errors[int(idx[0])] = exc
+            else:
                 pending += [idx[:idx.size // 2], idx[idx.size // 2:]]
-                continue
-            at = at or 0
-            errors[int(idx[at])] = exc
-            pending += [idx[:at], idx[at + 1:]]
     return errors
 
 
@@ -197,45 +191,35 @@ def _checked_strips(strips, n: int, size: int = 1):
 
     A strip is (i, upper, lower, ...) with the blocks of :func:`_matrix_strips`.
     Strip i decides Hermiticity from lower - upper, every pair (r, c) and
-    (c, r) with c in the strip and r >= i.  A matrix's error is worded from
-    its first failing strip: "finite" if its blocks hold a NaN or inf, else
-    its largest deviation, inf where finite partners differ beyond the
-    float64 range; then from its trace, summed as ``trace()`` sums it.  The
-    first failing matrix of the stack raises: once one fails, the walk goes
-    on for those before it only, so a lone matrix stops at its first
-    failing strip.  The caller silences the warnings of inf - inf and of
-    overflow.
+    (c, r) with c in the strip and r >= i.  The first strip that a matrix
+    of the stack fails raises, worded from the first such matrix: "finite"
+    if its blocks hold a NaN or inf, else its largest deviation, inf where
+    finite partners differ beyond the float64 range.  After the last strip
+    the traces, summed as ``trace()`` sums them, are checked.  The caller
+    silences the warnings of inf - inf and of overflow.
     """
     buf = np.empty(size * min(n, _STRIP) * 2 * n)
     diag = np.empty((size, n), dtype=np.complex128)
-    live, error = size, None
     for strip in strips:
         i, upper, lower = strip[:3]
         h, w = upper.shape[1], upper.shape[3]
-        d = np.subtract(lower[:live], upper[:live], out=buf[:live * h * 2 * w].reshape(live, h, 2, w))
+        d = np.subtract(lower, upper, out=buf[:size * h * 2 * w].reshape(size, h, 2, w))
         bad = ~_within_tol(d, _HERMITIAN_TOL)
         if bad.any():
-            live = int(np.argmax(bad))
-            if not (np.isfinite(upper[live]).all() and np.isfinite(lower[live]).all()):
-                error = _at(live, ValueError("array entries must be finite"))
-            else:
-                at = f" in the strip from row {i}" if n > _STRIP else ""
-                dev = _moduli(d[live]).max()
-                error = _at(live, ValueError(f"matrix is not Hermitian (max deviation {dev:.3e}{at})"))
-            if not live:
-                raise error
-        # both parts of the strip's diagonal, (live, 2, h), into the complex diag
-        parts = upper[:live].diagonal(axis1=1, axis2=3)
-        diag.view(np.float64).reshape(size, n, 2)[:live, i:i + h] = parts.swapaxes(1, 2)
+            first = int(np.argmax(bad))
+            if not (np.isfinite(upper[first]).all() and np.isfinite(lower[first]).all()):
+                raise ValueError("array entries must be finite")
+            at = f" in the strip from row {i}" if n > _STRIP else ""
+            raise ValueError(f"matrix is not Hermitian (max deviation {_moduli(d[first]).max():.3e}{at})")
+        # both parts of the strip's diagonal, (size, 2, h), into the complex diag
+        parts = upper.diagonal(axis1=1, axis2=3)
+        diag.view(np.float64).reshape(size, n, 2)[:, i:i + h] = parts.swapaxes(1, 2)
         yield strip
-    trace = diag[:live].sum(axis=1)
+    trace = diag.sum(axis=1)
     trace_dev = np.hypot(trace.real - 1.0, trace.imag)
     bad = ~(trace_dev <= _TRACE_TOL)
     if bad.any():
-        first = int(np.argmax(bad))
-        raise _at(first, ValueError(f"trace deviates from 1 by {trace_dev[first]:.3e}"))
-    if error is not None:
-        raise error
+        raise ValueError(f"trace deviates from 1 by {trace_dev[np.argmax(bad)]:.3e}")
 
 
 @dataclass(frozen=True)
@@ -262,8 +246,8 @@ class PureState:
             # a NaN or inf entry fails the test above; only then is it looked for
             first = int(np.argmax(bad))
             if not np.isfinite(flat[first]).all():
-                raise _at(first, ValueError("array entries must be finite"))
-            raise _at(first, ValueError(f"state norm^2 deviates from 1 by {norm_sq[first] - 1.0:.3e}"))
+                raise ValueError("array entries must be finite")
+            raise ValueError(f"state norm^2 deviates from 1 by {norm_sq[first] - 1.0:.3e}")
         object.__setattr__(self, "amp", amp)
 
 
@@ -350,17 +334,12 @@ def reductions(sets, keeps: tuple[str, ...]) -> list[DensityMatrix]:
     """The reductions onto each of ``keeps`` of a sequence of draws of any dims, one stack per keep in draw order.
 
     The amplitude tensors stack per dims; each stack of reductions is then
-    checked once.  An error's index is the draw's position in ``sets``.
+    checked once.
     """
     stacks = {}
     for dims in dict.fromkeys(cs.dims for cs in sets):
         group = [i for i, cs in enumerate(sets) if cs.dims == dims]
-        try:
-            state = assemble_state([sets[i] for i in group])
-        except ValueError as exc:
-            if hasattr(exc, "index"):
-                exc.index = group[exc.index]
-            raise
+        state = assemble_state([sets[i] for i in group])
         for keep in keeps:
             rho = _partial_trace(state, keep)
             stacks.setdefault(keep, np.empty((len(sets), *rho.shape[1:]), dtype=np.complex128))[group] = rho
@@ -388,8 +367,7 @@ def wootters_concurrence(rho: DensityMatrix):
     low = mu[..., 0].reshape(-1)
     bad = low < _EIGENVALUE_FLOOR
     if bad.any():
-        first = int(np.argmax(bad))
-        raise _at(first, ValueError(f"density matrix has eigenvalue {low[first]:.3e} below the floor"))
+        raise ValueError(f"density matrix has eigenvalue {low[np.argmax(bad)]:.3e} below the floor")
     factor = u * np.sqrt(np.clip(mu, 0.0, None))[..., None, :]
     k = factor.swapaxes(-1, -2) @ _SIGMA_YY @ factor
     lam = np.linalg.svd(k, compute_uv=False)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinshield import cli
+from spinshield import cli, oracle
 from spinshield.cli import CSV_HEADER, fnv1a64, main
 from spinshield.sweep import SweepConfig, run_sweep
 
@@ -358,6 +358,15 @@ def test_sweep_missing_config_file_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_config_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xff\xfe")
+    out = tmp_path / "r"
+    assert run_cli(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"cannot read config file {str(cfg)!r}: 'utf-8' codec can't decode" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("two_s = 2\nturbo = on\n")
@@ -531,6 +540,36 @@ def test_verify_separability_family_reads_the_oracle_when_called(capsys, monkeyp
     assert run_cli(["verify", "--cases", "2", "--two-s-max", "2"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert [line for line in lines if not line.endswith(" 2/2")] == ["separability: 0/2"]
+
+
+@pytest.mark.parametrize("stage", ["assemble_state", "wootters_concurrence"])
+def test_verify_fails_only_the_case_whose_oracle_run_fails(capsys, monkeypatch, stage):
+    # the 9 cases of two_s 1, 2 and 3 are one stack of mixed dims; the oracle
+    # refuses case 5's draw alone, building its state or reading it out, in
+    # any stack that holds it.  Case 5 fails with the error of its lone run
+    # and every other case passes
+    target = cli._verify_case(0, list(cli._VERIFY_CHECKS).index("oracle-concurrence"), 5, 3)
+    rho = oracle.reduce(oracle.assemble_state(target), "D").entries.tobytes()
+    original = getattr(oracle, stage)
+
+    def refusing(arg, *rest):
+        if stage == "assemble_state":
+            sets = arg if isinstance(arg, list) else [arg]  # separability builds a lone draw's state
+            held = any(cs.x.tobytes() == target.x.tobytes() for cs in sets)
+        else:
+            held = any(e.tobytes() == rho for e in arg.entries.reshape(-1, 4, 4))
+        if held:
+            raise ValueError(f"{stage} refuses case 5")
+        return original(arg, *rest)
+
+    monkeypatch.setattr(oracle, stage, refusing)
+    assert run_cli(["verify", "--cases", "9", "--two-s-max", "3"]) == 1
+    captured = capsys.readouterr()
+    assert [line for line in captured.out.splitlines() if not line.endswith(" 9/9")] == ["oracle-concurrence: 8/9"]
+    two_s, x_max = cli._case_point(5, 3)
+    assert captured.err.splitlines() == [
+        f"FAIL oracle-concurrence: case=5 two_s={two_s} x_max={x_max} seed=0: {stage} refuses case 5"
+    ]
 
 
 def test_verify_two_s_max_gate():

@@ -563,78 +563,107 @@ def test_stacked_states_and_reductions_are_each_state_bit_for_bit():
         assemble_state([sets[0], random_set(1, 4)])
 
 
-def _bad(dim, kind):
-    """A dim x dim matrix that fails one DensityMatrix check: a deviation, a NaN or the trace."""
+def _bad(dim, kind, size=1.0):
+    """A dim x dim matrix that fails one DensityMatrix check: a deviation, a NaN or the trace, by ``size``."""
     e = np.eye(dim, dtype=complex) / dim
     if kind == "hermitian":
-        e[0, dim - 1] += 2e-9
+        e[0, dim - 1] += size * 2e-9
     elif kind == "nan":
         e[dim - 1, 0] = np.nan
     else:
-        e[0, 0] += 3e-11
+        e[0, 0] += size * 3e-11
     return e
+
+
+def _lone_errors(build, stack):
+    """{index: message} of the matrices of stack that build refuses on their own."""
+    errors = {}
+    for i, e in enumerate(stack):
+        try:
+            build(e)
+        except ValueError as exc:
+            errors[i] = str(exc)
+    return errors
+
+
+def _per_entry_errors(build, stack):
+    """{index: message} that oracle.per_entry gives the matrices of stack, built as stacks."""
+    return {i: str(exc) for i, exc in oracle.per_entry(lambda idx: build(stack[idx]), len(stack)).items()}
 
 
 @pytest.mark.parametrize("dim", [2, 4, 40])
 @pytest.mark.parametrize("kind", ["hermitian", "nan", "trace"])
 def test_a_stack_raises_the_error_of_its_first_failing_matrix(dim, kind):
+    # matrices 2 and 4 fail the same check by different amounts: the stack
+    # raises matrix 2's own error, and per_entry gives each failing matrix,
+    # and only those, the error it raises alone
     good = np.eye(dim, dtype=complex) / dim
-    bad = _bad(dim, kind)
-    with pytest.raises(ValueError) as alone:
-        DensityMatrix(dim, bad)
-    stack = np.stack([good, good, bad, good, bad])
-    error = _stack_error(lambda e: DensityMatrix(dim, e), stack)
-    assert (str(error), error.index) == (str(alone.value), 2)
+    stack = np.stack([good, good, _bad(dim, kind), good, _bad(dim, kind, 2.0)])
+    build = lambda e: DensityMatrix(dim, e)  # noqa: E731
+    alone = _lone_errors(build, stack)
+    assert alone.keys() == {2, 4}
+    assert str(_stack_error(build, stack)) == alone[2]
+    assert _per_entry_errors(build, stack) == alone
 
 
 def test_a_stack_names_its_first_failing_matrix_whatever_strip_fails_it():
     # matrix 1 fails only in the second strip of its 40 rows, matrix 3 in the
-    # first; matrix 0 fails only its trace, which is checked after every strip
+    # first; matrix 0 fails only its trace, which is checked after every
+    # strip.  The stack raises at the first strip any matrix fails, so with
+    # matrix 3's error; per_entry names each failing matrix with its own
     good = np.eye(40, dtype=complex) / 40
     late, early, trace = good.copy(), _bad(40, "hermitian"), _bad(40, "trace")
     late[35, 38] += 5e-9
-    errors = {}
-    for name, m in (("late", late), ("trace", trace)):
-        with pytest.raises(ValueError) as alone:
-            DensityMatrix(40, m)
-        errors[name] = str(alone.value)
-    assert errors["late"].endswith("in the strip from row 32)")
-    error = _stack_error(lambda e: DensityMatrix(40, e), np.stack([good, late, good, early]))
-    assert (str(error), error.index) == (errors["late"], 1)
-    error = _stack_error(lambda e: DensityMatrix(40, e), np.stack([trace, late, good, early]))
-    assert (str(error), error.index) == (errors["trace"], 0)
+    build = lambda e: DensityMatrix(40, e)  # noqa: E731
+    for stack, failing in (([good, late, good, early], {1, 3}), ([trace, late, good, early], {0, 1, 3})):
+        stack = np.stack(stack)
+        alone = _lone_errors(build, stack)
+        assert alone.keys() == failing
+        assert alone[1].endswith("in the strip from row 32)")
+        assert str(_stack_error(build, stack)) == alone[3]
+        assert _per_entry_errors(build, stack) == alone
 
 
 def test_a_stacked_read_out_raises_the_error_of_its_first_failing_matrix():
-    # Hermitian with unit trace, so DensityMatrix accepts them; the floor is wootters'
+    # Hermitian with unit trace, so DensityMatrix accepts them; the floor is
+    # wootters'.  per_entry gives the Bell projectors their values bit for
+    # bit and the two below the floor their own errors
     low = np.diag([0.5, 0.3, 0.3, -0.1]).astype(complex)
     lower = np.diag([0.6, 0.3, 0.3, -0.2]).astype(complex)
-    with pytest.raises(ValueError) as alone:
-        wootters_concurrence(DensityMatrix(4, low))
-    stack = np.stack([BELL_PROJECTOR, BELL_PROJECTOR, low, lower])
-    error = _stack_error(lambda e: wootters_concurrence(DensityMatrix(4, e)), stack)
-    assert (str(error), error.index) == (str(alone.value), 2)
+    stack = np.stack([BELL_PROJECTOR, BELL_PROJECTOR, low, lower, BELL_PROJECTOR])
+    build = lambda e: wootters_concurrence(DensityMatrix(4, e))  # noqa: E731
+    alone = _lone_errors(build, stack)
+    assert alone.keys() == {2, 3} and alone[2] != alone[3]
+    assert str(_stack_error(build, stack)) == alone[2]
+    values = np.full(len(stack), np.nan)
+
+    def run(idx):
+        values[idx] = build(stack[idx])
+
+    assert {i: str(exc) for i, exc in oracle.per_entry(run, len(stack)).items()} == alone
+    assert values[[0, 1, 4]].tobytes() == np.array([build(stack[i]) for i in (0, 1, 4)]).tobytes()
 
 
 def test_per_entry_gives_each_entry_its_own_values_or_error():
-    # entry 2 raises its own error in any stack; entry 7 raises a ValueError
-    # that names no entry, which halving the stacks narrows down to it
+    # entries 2 and 7 raise in any stack that holds them, which halving the
+    # stacks narrows down to each of them alone
     values = np.full(9, np.nan)
     runs = []
 
     def run(idx):
         runs.append(idx.tolist())
-        for j, i in enumerate(idx):
-            if i == 2:
-                raise oracle._at(j, ValueError("entry 2"))
-            if i == 7:
-                raise ValueError("no entry named")
+        for i in idx:
+            if i in (2, 7):
+                raise ValueError(f"entry {i}")
         values[idx] = idx
 
     errors = oracle.per_entry(run, 9)
-    assert {i: str(e) for i, e in errors.items()} == {2: "entry 2", 7: "no entry named"}
+    assert {i: str(e) for i, e in errors.items()} == {2: "entry 2", 7: "entry 7"}
     assert [i for i in range(9) if values[i] == i] == [0, 1, 3, 4, 5, 6, 8]
     assert runs[0] == list(range(9))
+    # an empty stack does not run
+    runs.clear()
+    assert oracle.per_entry(run, 0) == {} and runs == []
 
 
 # ---------------------------------------------------------------------------

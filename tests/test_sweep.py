@@ -284,8 +284,8 @@ def _per_trial_crosscheck(config, two_s, rows):
 )
 def test_a_crosscheck_failure_inside_a_stack_names_the_per_trial_coordinates(monkeypatch, faults):
     # faults keyed by (trial, n): the oracle's C of that state is off by 1e-6,
-    # or its read-out raises.  The states of a stack are told apart by their
-    # rho_D, which the stack gives bit for bit
+    # or its read-out raises a ValueError naming them.  The states of a stack
+    # are told apart by their rho_D, which the stack gives bit for bit
     config = SweepConfig(two_s_values=(4,), n_values=(1, 2, 3), trials=6)
     dims = SpinDims(4)
     key = {}
@@ -301,7 +301,7 @@ def test_a_crosscheck_failure_inside_a_stack_names_the_per_trial_coordinates(mon
         for i, entries in enumerate(rho.entries.reshape(-1, 4, 4)):
             fault = faults.get(key[entries.tobytes()])
             if fault == "error":
-                raise oracle._at(i, ValueError("injected read-out error"))
+                raise ValueError(f"injected read-out error at {key[entries.tobytes()]}")
             if fault == "value":
                 c[i] -= 1e-6
         return c if rho.entries.ndim == 3 else float(c[0])
@@ -313,6 +313,21 @@ def test_a_crosscheck_failure_inside_a_stack_names_the_per_trial_coordinates(mon
     with pytest.raises(SweepError) as err:
         sweep_mod._task_rows(config, 4, 1, 7)
     assert (err.value.two_s, err.value.n, err.value.trial, err.value.detail) == (4, n, trial, message)
+
+
+def test_a_crosscheck_whose_first_draw_fails_names_its_first_trial(monkeypatch):
+    # no draw of the chunk succeeds, so the oracle gets an empty stack, which
+    # it does not run; the failed draw names the chunk's first trial and n
+    config = SweepConfig(two_s_values=(2,), n_values=(2, 3), trials=4)
+
+    def failing_draw(*args):
+        raise RuntimeError("injected draw failure")
+
+    monkeypatch.setattr(sweep_mod, "sample_coefficients", failing_draw)
+    with pytest.raises(SweepError) as err:
+        sweep_mod._task_rows(config, 2, 1, 5)
+    assert (err.value.two_s, err.value.n, err.value.trial) == (2, 2, 1)
+    assert err.value.detail == "injected draw failure"
 
 
 @pytest.mark.parametrize("earlier_fault", [False, True])
