@@ -482,7 +482,7 @@ def _single_record(args) -> list[tuple[str, object]]:
         ("x4", cs.x[3]),
         ("y3", cs.y[2]),
         ("y4", cs.y[3]),
-        ("N", normalization(cs)),
+        ("N", normalization(cs.c, cs.x, cs.y)),
         ("X3", bs.X3),
         ("X4", bs.X4),
         ("Y3", bs.Y3),
@@ -495,7 +495,7 @@ def _single_record(args) -> list[tuple[str, object]]:
         ("slack", report.monogamy_slack),
     ]
     if dims.m_a * dims.m_b <= oracle.ORACLE_MAX_DIM:
-        state = oracle.assemble_state(cs)
+        state = oracle.assemble_state(cs.c, cs.x, cs.y)
         rho_d = oracle.reduce(state, "D")
         rho_q1 = oracle.reduce(state, "Q1")
         record += [

@@ -8,8 +8,9 @@ parametrized by near-product amplitudes
 
 where the perturbations ``x``, ``y`` shrink as the spins grow and ``N`` is
 fixed by unit norm.  This module owns the parameter types, the normalization
-and ``sample_coefficients``, the reference draw of ``single``, ``verify`` and
-the sweep's crosscheck; the sweep engine reads the same streams in its order.
+and ``sample_coefficients``, the reference draw of ``single`` and ``verify``;
+the sweep engine reads the same streams in its order, and its crosscheck runs
+the dense oracle on the engine's draws.
 
 Note on the normalization convention: ``N`` is the unique positive number
 that makes the assembled state a unit vector, which scales like
@@ -275,44 +276,40 @@ def sample_coefficients(
     return CoefficientSet(dims, c, x, y)
 
 
-def _stacked(cs, scale: float = 1.0) -> tuple:
-    """(c, x, y) of a CoefficientSet, or of a sequence of them stacked along a leading axis.
-
-    The perturbations are multiplied by ``scale`` as CoefficientSet.scaled
-    multiplies them, bit for bit, without building the scaled sets.
-    """
-    sets = [cs] if isinstance(cs, CoefficientSet) else cs
-    c, x, y = (np.array([getattr(s, name) for s in sets]) for name in "cxy")
-    return c, scale * x, scale * y
+def _stacked(sets) -> tuple:
+    """(c, x, y) of a sequence of CoefficientSets, stacked along a leading axis."""
+    return tuple(np.array([getattr(s, name) for s in sets]) for name in "cxy")
 
 
 def _level_sums(c, x, y) -> tuple:
-    """(|c_d|^2, X_d, Y_d) as (k, 4) arrays and N**2 as a (k,) array, for k stacked draws.
+    """(|c_d|^2, X_d, Y_d) as (..., 4) arrays and N**2 as a (...) array, for stacked draws.
 
-    ``c``, ``x`` and ``y`` are those of :func:`_stacked`.  X_d = sum_alpha
-    |1 + x[d,alpha]|^2 and Y_d likewise, one pairwise sum per row; |c_d|^2
-    comes from Python's complex abs and float ``**``, and N**2 sums
+    ``c`` (..., 4), ``x`` (..., 4, m_a) and ``y`` (..., 4, m_b) are arrays
+    whose leading axes are the stack, as :func:`_stacked` returns them; ``c``
+    may broadcast against the leading axes of ``x`` and ``y``.  X_d =
+    sum_alpha |1 + x[d,alpha]|^2 and Y_d likewise, one pairwise sum per row;
+    |c_d|^2 comes from Python's complex abs and float ``**``, and N**2 sums
     |c_d|^2 X_d Y_d over the populated levels in level order.
     """
     w = np.array([abs(v) ** 2 for v in c.ravel().tolist()]).reshape(c.shape)
     x, y = _abs2(1.0 + x).sum(axis=-1), _abs2(1.0 + y).sum(axis=-1)
     # an empty level adds nothing, not 0 * inf
     live = w != 0.0
-    terms = np.multiply(w, x, out=np.zeros(w.shape), where=live)
+    terms = np.multiply(w, x, out=np.zeros(np.broadcast_shapes(w.shape, x.shape, y.shape)), where=live)
     np.multiply(terms, y, out=terms, where=live)
-    return w, x, y, ((terms[:, 0] + terms[:, 1]) + terms[:, 2]) + terms[:, 3]
+    return w, x, y, ((terms[..., 0] + terms[..., 1]) + terms[..., 2]) + terms[..., 3]
 
 
-def normalization(cs, scale: float = 1.0):
-    """The positive N that gives the assembled amplitude tensor unit norm; an array for a sequence of sets.
+def normalization(c, x, y):
+    """The positive N that gives the assembled amplitude tensor unit norm, of each stacked draw; a float for one draw.
 
     N**2 = sum_d |c_d|^2 * (sum_alpha |1 + x[d,alpha]|^2)
                          * (sum_beta |1 + y[d,beta]|^2),
-    of each set scaled by ``scale`` (see :func:`_stacked`).  A sequence
-    raises DegenerateStateError if any of its sets has no weight.
+    with ``c``, ``x`` and ``y`` as :func:`_level_sums` takes them.  Raises
+    DegenerateStateError if any draw has no weight.
     """
-    n_sq = _level_sums(*_stacked(cs, scale))[3]
+    n_sq = _level_sums(c, x, y)[3]
     if (n_sq <= 0.0).any():
         raise DegenerateStateError("all device weights vanish; state cannot be normalized")
     n = np.sqrt(n_sq)
-    return float(n[0]) if isinstance(cs, CoefficientSet) else n
+    return float(n) if n.ndim == 0 else n

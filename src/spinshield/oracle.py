@@ -279,23 +279,21 @@ class DensityMatrix:
         return np.linalg.eigvalsh(self.entries)[..., 0]
 
 
-def assemble_state(cs, scale: float = 1.0) -> PureState:
-    """Build the normalized amplitude tensor c_d (1 + x[d,a]) (1 + y[d,b]) / N.
+def assemble_state(c, x, y) -> PureState:
+    """Build the normalized amplitude tensor c_d (1 + x[d,a]) (1 + y[d,b]) / N of each stacked draw.
 
-    ``cs`` is one CoefficientSet, or a sequence of them with one dims whose
-    states stack.  The state is that of ``cs.scaled(scale)``, bit for bit.
+    ``c`` (..., 4), ``x`` (..., 4, m_a) and ``y`` (..., 4, m_b) are arrays
+    whose leading axes are the stack, and the dims come from their shapes;
+    ``c`` may broadcast against the leading axes of ``x`` and ``y``.  A
+    CoefficientSet's state is ``assemble_state(cs.c, cs.x, cs.y)``.
     """
-    single = isinstance(cs, CoefficientSet)
-    dims = cs.dims if single else cs[0].dims
-    if not single and any(s.dims != dims for s in cs):
-        raise ValueError("a stack of draws must share its dims")
+    dims = SpinDims(x.shape[-1] - 1, y.shape[-1] - 1)
     mm = dims.m_a * dims.m_b
     if mm > ORACLE_MAX_DIM:
         raise ValueError(
             f"dense oracle is gated to m_a*m_b <= {ORACLE_MAX_DIM}, got {mm}"
         )
-    n = normalization(cs, scale)
-    c, x, y = (v[0] if single else v for v in _stacked(cs, scale))
+    n = normalization(c, x, y)
     amp = (c / np.asarray(n)[..., None])[..., None, None] * (1.0 + x)[..., None] * (1.0 + y)[..., None, :]
     amp.setflags(write=False)
     return PureState(dims, amp)
@@ -339,7 +337,7 @@ def reductions(sets, keeps: tuple[str, ...]) -> list[DensityMatrix]:
     stacks = {}
     for dims in dict.fromkeys(cs.dims for cs in sets):
         group = [i for i, cs in enumerate(sets) if cs.dims == dims]
-        state = assemble_state([sets[i] for i in group])
+        state = assemble_state(*_stacked([sets[i] for i in group]))
         for keep in keeps:
             rho = _partial_trace(state, keep)
             stacks.setdefault(keep, np.empty((len(sets), *rho.shape[1:]), dtype=np.complex128))[group] = rho
@@ -404,9 +402,9 @@ def separability_structure_check(cs: CoefficientSet, tol: float = 1e-10) -> bool
     DensityMatrix's checks (or raises its error), then the residual is
     decided exactly by its parts on both blocks, until a strip fails it.
     """
-    amp = assemble_state(cs).amp.reshape(4, -1)
+    amp = assemble_state(cs.c, cs.x, cs.y).amp.reshape(4, -1)
     k = amp[amp.any(axis=1)].T
-    (w,), (xs,), (ys,), (n_sq,) = _level_sums(*_stacked(cs))
+    w, xs, ys, n_sq = _level_sums(cs.c, cs.x, cs.y)
     live = w != 0.0
     a = (1.0 + cs.x[live]) / np.sqrt(xs[live])[:, None]
     b = (1.0 + cs.y[live]) / np.sqrt(ys[live])[:, None]

@@ -9,7 +9,8 @@ trial streams are shared across the exponents n on purpose: every n sees the
 same underlying draws scaled by its own bound, which makes the comparison
 between schedules exact rather than statistical.  The engine reads each
 stream once, into buffers that a task reuses, and evaluates the closed forms
-for every n from it, a batch of trials at a time.
+for every n from it, a batch of trials at a time; the dense crosscheck runs
+on the same buffers.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closedform, oracle
-from .model import SpinDims, _check_unit_norm, _is_integer, sample_coefficients, x_max_schedule
+from .model import SpinDims, _check_unit_norm, _is_integer, x_max_schedule
+from .model import sample_coefficients  # noqa: F401  looked up by name in perfbench/tracer.PATCHES
 
 DEFAULT_TWO_S_GRID = (2, 4, 10, 20, 40, 100, 200, 400, 1000)
 DEFAULT_C = (0j, 0j, complex(1.0 / np.sqrt(2.0)), complex(1.0 / np.sqrt(2.0)))
@@ -281,39 +283,35 @@ class _Draws:
         return np.multiply(self.unit[:size, 2 * side:2 * side + 2], bound, out=self.rows[:size])
 
 
-def _crosscheck(config: SweepConfig, dims: SpinDims, two_s: int, first: int, rows: np.ndarray) -> None:
-    """Raise SweepError unless the dense oracle agrees with the (n, trial) rows of trials first, first + 1, ...
+def _crosscheck(config: SweepConfig, bounds: list, first: int, unit: np.ndarray, rows: np.ndarray):
+    """The first (n, trial, cause) at which the dense oracle disagrees with the engine on a batch, or None.
 
-    ``rows`` (n, trials, 3) are the engine's.  Each trial's unit draw comes
-    from its stream through sample_coefficients, and the oracle runs once
-    for each n on the unit draws scaled by its bound (oracle.per_entry), a
-    chunk of trials whose states take at most _BATCH_BYTES at a time.  The
-    error names the (two_s, n, trial) a pass over the trials in order, and
-    over the n within each, would fail first: a failed draw names the first
-    n, a failed check its own n.
+    ``unit`` (trials, 4, m) holds the unit rows x3, x4, y3, y4 the engine
+    drew for trials first, first + 1, ..., and ``rows`` (n, trials, 3) its
+    results for the n of ``bounds``.  For each n the oracle runs once on the
+    unit rows scaled by its bound, as _Draws.side scales them, zero-padded to
+    (trials, 4, m) perturbations (oracle.per_entry), a chunk of trials whose
+    states take at most _BATCH_BYTES at a time.  The first is the one a pass
+    over the trials in order, and over the n within each, would meet first.
     """
-    bounds = [x_max_schedule(two_s, n) for n in config.n_values]
-    chunk = max(1, _BATCH_BYTES // (64 * dims.m_a * dims.m_b))  # a state is 4 m_a m_b complex128
-    for lo in range(0, rows.shape[1], chunk):
-        units, failed_draw = [], None
-        for trial in range(first + lo, first + min(lo + chunk, rows.shape[1])):
-            try:
-                rng = trial_rng(config.master_seed, two_s, trial)
-                units.append(sample_coefficients(dims, 1.0, 1.0, config.c, rng, config.complex_mode))
-            except Exception as exc:
-                failed_draw = trial, exc
-                break
-        oracle_rows = np.full((len(bounds), len(units), 2), np.nan)
+    c, m = np.array(config.c), unit.shape[-1]
+    chunk = max(1, _BATCH_BYTES // (64 * m * m))  # a state is 4 m^2 complex128
+    for lo in range(0, len(unit), chunk):
+        part = unit[lo:lo + chunk]
+        k = len(part)
+        xy = np.zeros((k, 2, 4, m), np.complex128)  # the x and y perturbations
+        oracle_rows = np.full((len(bounds), k, 2), np.nan)
         errors = {}  # (trial offset, n index) -> the oracle's error
         for j, bound in enumerate(bounds):
+            np.multiply(part.reshape(k, 2, 2, m), bound, out=xy[:, :, 2:])
 
-            def run(idx, j=j, bound=bound):
-                state = oracle.assemble_state([units[i] for i in idx], bound)
+            def run(idx, j=j):
+                state = oracle.assemble_state(c, xy[idx, 0], xy[idx, 1])
                 oracle_rows[j, idx, 0] = oracle.wootters_concurrence(oracle.reduce(state, "D"))
                 oracle_rows[j, idx, 1] = oracle.one_tangle(oracle.reduce(state, "Q1"))
 
-            errors.update(((t, j), exc) for t, exc in oracle.per_entry(run, len(units)).items())
-        dev = np.abs(rows[:, lo:lo + len(units), :2] - oracle_rows)
+            errors.update(((t, j), exc) for t, exc in oracle.per_entry(run, k).items())
+        dev = np.abs(rows[:, lo:lo + k, :2] - oracle_rows)
         bad = (dev > ORACLE_CROSSCHECK_TOL).any(axis=-1).T  # trial-major, as the trials run
         for t, j in errors:
             bad[t, j] = True
@@ -322,22 +320,23 @@ def _crosscheck(config: SweepConfig, dims: SpinDims, two_s: int, first: int, row
             cause = errors.get((t, j)) or ValueError(
                 f"closed form disagrees with oracle (dC={dev[j, t, 0]:.3e}, dtau={dev[j, t, 1]:.3e})"
             )
-            raise SweepError(two_s, config.n_values[j], first + lo + t, str(cause)) from cause
-        if failed_draw is not None:
-            trial, exc = failed_draw
-            raise SweepError(two_s, config.n_values[0], trial, str(exc)) from exc
+            return config.n_values[j], first + lo + t, cause
+    return None
 
 
 def _task_rows(config: SweepConfig, two_s: int, first: int, stop: int) -> np.ndarray:
     """(C, tau, slack) rows of trials first .. stop - 1 at two_s for every n: shape (n, trials, 3).
 
-    Each trial's stream is read once and serves every n.  A failure names
-    its trial and n; a failure in the shared draw names the config's first n.
-    The crosscheck runs once every batch is done, so an engine failure is reported first.
+    Each trial's stream is read once and serves every n, and the crosscheck
+    of a batch runs on the engine's unit draws.  A failure names its trial
+    and n; a failure in the shared draw names the config's first n.  The
+    first crosscheck failure is held until the last batch is done, so an
+    engine failure in any batch is reported first.
     """
     dims = SpinDims(two_s)
     bounds = [x_max_schedule(two_s, n) for n in config.n_values]
     w3, w4 = (abs(v) for v in config.c[2:])
+    held = None
     out = np.empty((len(bounds), stop - first, 3))
     batch = min(_batch_trials(dims), stop - first)
     draws = _Draws(dims.m_a, batch, config.complex_mode)
@@ -357,8 +356,11 @@ def _task_rows(config: SweepConfig, two_s: int, first: int, stop: int) -> np.nda
                 i, message = failure
                 raise SweepError(two_s, n, lo + i, message)
             out[j, lo - first:hi - first] = np.stack(measures, axis=-1)
-    if dims.m_a * dims.m_b <= config.oracle_crosscheck_max_dim:
-        _crosscheck(config, dims, two_s, first, out)
+        if held is None and dims.m_a * dims.m_b <= config.oracle_crosscheck_max_dim:
+            held = _crosscheck(config, bounds, lo, draws.unit[:hi - lo], out[:, lo - first:hi - first])
+    if held is not None:
+        n, trial, cause = held
+        raise SweepError(two_s, n, trial, str(cause)) from cause
     return out
 
 

@@ -26,7 +26,7 @@ from spinshield.oracle import (
 from spinshield.sweep import DEFAULT_TWO_S_GRID, SweepConfig, run_sweep, trial_rng
 from spinshield import closedform
 from spinshield.cli import main as cli_main
-from util import BELL_C, bell_set
+from util import BELL_C, bell_set, cxy
 
 
 @contextmanager
@@ -52,7 +52,7 @@ def test_criterion_1_bell_limit():
         cs = bell_set(0)
         assert abs(concurrence_closed(cs) - 1.0) <= 1e-12
         assert abs(one_tangle_closed(cs) - 1.0) <= 1e-12
-        state = assemble_state(cs)
+        state = assemble_state(*cxy(cs))
         assert abs(wootters_concurrence(reduce(state, "D")) - 1.0) <= 1e-12
         assert abs(one_tangle(reduce(state, "Q1")) - 1.0) <= 1e-12
 
@@ -64,7 +64,7 @@ def test_criterion_2_oracle_equivalence():
             for two_s in range(1, 9):
                 for case in range(1, 101):
                     cs = draw(1000 + xi, two_s, case, x_max)
-                    state = assemble_state(cs)
+                    state = assemble_state(*cxy(cs))
                     dc = abs(concurrence_closed(cs) - wootters_concurrence(reduce(state, "D")))
                     dtau = abs(one_tangle_closed(cs) - one_tangle(reduce(state, "Q1")))
                     assert dc <= 1e-10, f"two_s={two_s} x_max={x_max} case={case}: dC={dc:.3e}"
@@ -96,7 +96,7 @@ def test_criterion_4_tangle_symmetry():
         for case in range(1, 101):
             two_s = 1 + (case - 1) % 8
             x_max = (0.5, 0.1, 0.01)[(case - 1) % 3]
-            state = assemble_state(draw(4000, two_s, case, x_max))
+            state = assemble_state(*cxy(draw(4000, two_s, case, x_max)))
             t1 = one_tangle(reduce(state, "Q1"))
             t2 = one_tangle(reduce(state, "Q2"))
             assert abs(t1 - t2) <= 1e-12, f"case={case}: |t1-t2|={abs(t1 - t2):.3e}"

@@ -549,18 +549,18 @@ def test_verify_fails_only_the_case_whose_oracle_run_fails(capsys, monkeypatch, 
     # any stack that holds it.  Case 5 fails with the error of its lone run
     # and every other case passes
     target = cli._verify_case(0, list(cli._VERIFY_CHECKS).index("oracle-concurrence"), 5, 3)
-    rho = oracle.reduce(oracle.assemble_state(target), "D").entries.tobytes()
+    rho = oracle.reduce(oracle.assemble_state(target.c, target.x, target.y), "D").entries.tobytes()
     original = getattr(oracle, stage)
 
-    def refusing(arg, *rest):
+    def refusing(*args):
         if stage == "assemble_state":
-            sets = arg if isinstance(arg, list) else [arg]  # separability builds a lone draw's state
-            held = any(cs.x.tobytes() == target.x.tobytes() for cs in sets)
+            x = args[1]  # a stack's, or a lone draw's as separability builds it
+            held = any(e.tobytes() == target.x.tobytes() for e in x.reshape(-1, *x.shape[-2:]))
         else:
-            held = any(e.tobytes() == rho for e in arg.entries.reshape(-1, 4, 4))
+            held = any(e.tobytes() == rho for e in args[0].entries.reshape(-1, 4, 4))
         if held:
             raise ValueError(f"{stage} refuses case 5")
-        return original(arg, *rest)
+        return original(*args)
 
     monkeypatch.setattr(oracle, stage, refusing)
     assert run_cli(["verify", "--cases", "9", "--two-s-max", "3"]) == 1

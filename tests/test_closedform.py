@@ -25,7 +25,7 @@ from spinshield.closedform import (
 )
 from spinshield.oracle import assemble_state, one_tangle, reduce, wootters_concurrence
 from spinshield.sweep import SweepConfig, trial_rng
-from util import BELL_C, bell_set, random_c, random_set, worked_example
+from util import BELL_C, bell_set, cxy, random_c, random_set, worked_example
 
 # frozen expectations for the worked example (independently derivable by
 # direct summation: X3 = 1.1^2 + 1.3^2, X4 = 2 * 1.2^2, X34 = 1.2 * (1.1 + 1.3))
@@ -178,7 +178,7 @@ def test_concurrence_worked_example():
     cs = worked_example()
     c = concurrence_closed(cs)
     assert c == pytest.approx(WORKED_C, abs=1e-12)
-    c_oracle = wootters_concurrence(reduce(assemble_state(cs), "D"))
+    c_oracle = wootters_concurrence(reduce(assemble_state(*cxy(cs)), "D"))
     assert abs(c - c_oracle) <= 1e-10
 
 
@@ -195,7 +195,7 @@ def test_one_tangle_worked_example():
     cs = worked_example()
     tau = one_tangle_closed(cs)
     assert tau == pytest.approx(WORKED_TAU, abs=1e-12)
-    tau_oracle = one_tangle(reduce(assemble_state(cs), "Q1"))
+    tau_oracle = one_tangle(reduce(assemble_state(*cxy(cs)), "Q1"))
     assert abs(tau - tau_oracle) <= 1e-10
 
 
@@ -323,7 +323,7 @@ def test_monogamy_property(seed, two_s, x_max, complex_mode):
 )
 def test_oracle_equivalence_property(seed, two_s_a, two_s_b, x_max):
     cs = random_set(seed, two_s_a, two_s_b, x_max, c=random_c(seed + 1))
-    state = assemble_state(cs)
+    state = assemble_state(*cxy(cs))
     assert abs(concurrence_closed(cs) - wootters_concurrence(reduce(state, "D"))) <= 1e-10
     assert abs(one_tangle_closed(cs) - one_tangle(reduce(state, "Q1"))) <= 1e-10
 

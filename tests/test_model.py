@@ -19,7 +19,7 @@ from spinshield.model import (
 )
 from spinshield.closedform import concurrence_closed
 from spinshield.oracle import assemble_state
-from util import BELL_C, bell_set, random_set, worked_example
+from util import BELL_C, bell_set, cxy, random_set, worked_example
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +258,12 @@ def test_tiny_perturbations_keep_concurrence_at_one():
 
 
 def test_normalization_zero_perturbations_m2():
-    assert normalization(bell_set(1)) == pytest.approx(2.0, abs=1e-15)
+    assert normalization(*cxy(bell_set(1))) == pytest.approx(2.0, abs=1e-15)
 
 
 def test_normalization_single_level_m1():
     cs = CoefficientSet(SpinDims(0), (0, 0, 1, 0), np.zeros((4, 1)), np.zeros((4, 1)))
-    assert normalization(cs) == pytest.approx(1.0, abs=1e-15)
+    assert normalization(*cxy(cs)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_normalization_worked_example_against_brute_force():
@@ -272,8 +272,8 @@ def test_normalization_worked_example_against_brute_force():
     amp = cs.c[:, None, None] * (1.0 + cs.x)[:, :, None] * (1.0 + cs.y)[:, None, :]
     n_sq_brute = float(np.sum(np.abs(amp) ** 2))
     assert n_sq_brute == pytest.approx(5.78, abs=1e-12)
-    assert normalization(cs) ** 2 == pytest.approx(n_sq_brute, rel=1e-14)
-    assert normalization(cs) == pytest.approx(2.404163, abs=5e-7)
+    assert normalization(*cxy(cs)) ** 2 == pytest.approx(n_sq_brute, rel=1e-14)
+    assert normalization(*cxy(cs)) == pytest.approx(2.404163, abs=5e-7)
 
 
 def test_normalization_degenerate_branch():
@@ -281,7 +281,7 @@ def test_normalization_degenerate_branch():
     x[2, 0] = x[3, 0] = -1.0  # kills both populated branches
     cs = CoefficientSet(SpinDims(0), BELL_C, x, np.zeros((4, 1)))
     with pytest.raises(DegenerateStateError):
-        normalization(cs)
+        normalization(*cxy(cs))
 
 
 @settings(max_examples=40, deadline=None)
@@ -293,7 +293,7 @@ def test_normalization_degenerate_branch():
 )
 def test_assembled_state_has_unit_norm(seed, two_s_a, two_s_b, x_max):
     cs = random_set(seed, two_s_a, two_s_b, x_max)
-    amp = assemble_state(cs).amp
+    amp = assemble_state(*cxy(cs)).amp
     assert abs(float(np.sum(np.abs(amp) ** 2)) - 1.0) <= 1e-12
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,7 @@ from spinshield.oracle import (
     wootters_concurrence,
 )
 from spinshield import model, oracle
-from util import BELL_C, bell_set, random_c, random_set, worked_example
+from util import BELL_C, bell_set, cxy, random_c, random_set, worked_example
 
 BELL_PROJECTOR = np.zeros((4, 4), dtype=complex)
 BELL_PROJECTOR[np.ix_([0, 3], [0, 3])] = 0.5
@@ -29,7 +30,7 @@ BELL_PROJECTOR[np.ix_([0, 3], [0, 3])] = 0.5
 
 
 def test_assemble_bell_times_trivial_apparatus():
-    state = assemble_state(bell_set(0))
+    state = assemble_state(*cxy(bell_set(0)))
     np.testing.assert_allclose(
         state.amp.ravel(), [0, 0, 1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-15
     )
@@ -37,7 +38,7 @@ def test_assemble_bell_times_trivial_apparatus():
 
 def test_assemble_shape_and_norm():
     cs = random_set(seed=1, two_s_a=3, two_s_b=5, x_max=0.4)
-    state = assemble_state(cs)
+    state = assemble_state(*cxy(cs))
     assert state.amp.shape == (4, 4, 6)
     assert state.amp.size == 4 * 4 * 6
     assert abs(np.sum(np.abs(state.amp) ** 2) - 1.0) <= 1e-12
@@ -47,7 +48,7 @@ def test_assemble_dense_gate():
     big = SpinDims(70)  # 71 * 71 > 4096
     cs = CoefficientSet(big, BELL_C, np.zeros((4, 71)), np.zeros((4, 71)))
     with pytest.raises(ValueError, match="gated"):
-        assemble_state(cs)
+        assemble_state(*cxy(cs))
     assert 71 * 71 > ORACLE_MAX_DIM
 
 
@@ -56,12 +57,12 @@ def test_assemble_dense_gate():
 
 
 def test_reduce_bell_device_is_projector():
-    rho = reduce(assemble_state(bell_set(0)), "D")
+    rho = reduce(assemble_state(*cxy(bell_set(0))), "D")
     np.testing.assert_allclose(rho.entries, BELL_PROJECTOR, atol=1e-14)
 
 
 def test_reduce_bell_single_qubit_is_maximally_mixed():
-    state = assemble_state(bell_set(0))
+    state = assemble_state(*cxy(bell_set(0)))
     for keep in ("Q1", "Q2"):
         rho = reduce(state, keep)
         np.testing.assert_allclose(rho.entries, 0.5 * np.eye(2), atol=1e-14)
@@ -69,7 +70,7 @@ def test_reduce_bell_single_qubit_is_maximally_mixed():
 
 def test_reduce_dimensions_per_selector():
     cs = random_set(seed=2, two_s_a=2, two_s_b=3, x_max=0.3)
-    state = assemble_state(cs)
+    state = assemble_state(*cxy(cs))
     expected = {"D": 4, "Q1": 2, "Q2": 2, "M": 12, "A": 3, "B": 4}
     for keep, dim in expected.items():
         assert reduce(state, keep).dim == dim
@@ -77,7 +78,7 @@ def test_reduce_dimensions_per_selector():
 
 def test_reduce_unknown_selector():
     with pytest.raises(ValueError, match="selector"):
-        reduce(assemble_state(bell_set(0)), "Z")
+        reduce(assemble_state(*cxy(bell_set(0))), "Z")
 
 
 def _random_four_level_set(seed, two_s):
@@ -109,7 +110,7 @@ def test_reduce_apparatus_matches_einsum_definition(seed):
         random_set(seed, 6, 4, x_max=0.5, c=random_c(seed), complex_mode=True),
     ]
     for cs in sets:
-        state = assemble_state(cs)
+        state = assemble_state(*cxy(cs))
         # device levels 3, 1, 2, 4 are the product states |00>, |01>, |10>, |11>
         t = state.amp[[2, 0, 1, 3]].reshape(2, 2, cs.dims.m_a, cs.dims.m_b)
         for keep, subscripts in _REDUCE_EINSUM.items():
@@ -122,7 +123,7 @@ def test_reduce_apparatus_matches_einsum_definition(seed):
 
 
 def test_reduce_worked_example_entries():
-    rho = reduce(assemble_state(worked_example()), "D").entries
+    rho = reduce(assemble_state(*cxy(worked_example())), "D").entries
     # product basis: |00> is index 0 (device level 3), |11> is index 3 (level 4)
     assert rho[0, 0].real == pytest.approx(2.90 / 5.78, abs=1e-12)
     assert rho[3, 3].real == pytest.approx(2.88 / 5.78, abs=1e-12)
@@ -135,7 +136,7 @@ def test_reduce_worked_example_entries():
 
 @pytest.mark.parametrize("keep", ["D", "Q1", "Q2", "M", "A", "B"])
 def test_reduce_returns_read_only_entries(keep):
-    rho = reduce(assemble_state(random_set(3, 2, 3, x_max=0.4)), keep)
+    rho = reduce(assemble_state(*cxy(random_set(3, 2, 3, x_max=0.4))), keep)
     assert not rho.entries.flags.writeable
     with pytest.raises(ValueError):
         rho.entries[0, 0] = 0.5
@@ -175,7 +176,7 @@ def test_two_level_internal_cross_oracle():
     # closed form, eigenvalue route, and 2|rho_03| must all agree
     for seed in range(8):
         cs = random_set(seed, two_s_a=3, x_max=0.4, c=random_c(seed + 50))
-        rho = reduce(assemble_state(cs), "D")
+        rho = reduce(assemble_state(*cxy(cs)), "D")
         c_eig = wootters_concurrence(rho)
         c_offdiag = 2.0 * abs(rho.entries[0, 3])
         assert abs(c_eig - c_offdiag) <= 1e-10
@@ -212,7 +213,7 @@ def test_one_tangle_rejects_wrong_dimension():
 
 def test_separability_bell_uniform_projector():
     cs = bell_set(1)
-    rho_m = reduce(assemble_state(cs), "M").entries
+    rho_m = reduce(assemble_state(*cxy(cs)), "M").entries
     np.testing.assert_allclose(rho_m, np.full((4, 4), 0.25), atol=1e-14)
     assert separability_structure_check(cs, 1e-12)
 
@@ -236,8 +237,8 @@ def test_separability_random_sets(seed, two_s_a, two_s_b, complex_mode):
 
 def _separability_residual(cs):
     """(max |W W^H - rho_M|, max |rho_M|) from the materialized partial trace and the full mixture."""
-    rho = reduce(assemble_state(cs), "M").entries
-    n_sq = model._level_sums(*model._stacked(cs))[3][0]
+    rho = reduce(assemble_state(*cxy(cs)), "M").entries
+    n_sq = model._level_sums(*cxy(cs))[3]
     columns = []
     for d in range(4):
         av, bv = 1.0 + cs.x[d], 1.0 + cs.y[d]
@@ -342,7 +343,7 @@ def _inject(monkeypatch, faults, put=False):
 
 def _faulty_rho_m(cs, faults, put=False):
     """The materialized rho_M with the same faults."""
-    entries = reduce(assemble_state(cs), "M").entries.copy()
+    entries = reduce(assemble_state(*cxy(cs)), "M").entries.copy()
     _apply(entries, 0, faults, put)
     return entries
 
@@ -526,7 +527,7 @@ def _reductions(keep, count=40):
             sets.append(_random_four_level_set(seed, two_s))
         else:
             sets.append(random_set(seed, two_s, x_max=0.5, c=random_c(seed), complex_mode=seed % 2 == 1))
-    return np.stack([reduce(assemble_state(cs), keep).entries for cs in sets])
+    return np.stack([reduce(assemble_state(*cxy(cs)), keep).entries for cs in sets])
 
 
 def _stack_error(build, stack):
@@ -550,17 +551,21 @@ def test_stacked_read_outs_are_each_matrix_bit_for_bit():
 
 def test_stacked_states_and_reductions_are_each_state_bit_for_bit():
     sets = [random_set(seed, 3, x_max=0.5, c=random_c(seed)) for seed in range(12)]
-    state = assemble_state(sets)
+    c, x, y = model._stacked(sets)
+    state = assemble_state(c, x, y)
     assert state.amp.shape == (12, 4, 4, 4)
     for keep in ("D", "Q1", "Q2", "M", "A", "B"):
         stacked = reduce(state, keep).entries
         for cs, entries in zip(sets, stacked):
-            assert entries.tobytes() == reduce(assemble_state(cs), keep).entries.tobytes(), keep
-    # scaling the stack is bitwise the scaled sets' states
-    scaled = assemble_state(sets, 0.0625).amp
-    assert scaled.tobytes() == assemble_state([cs.scaled(0.0625) for cs in sets]).amp.tobytes()
-    with pytest.raises(ValueError, match="share its dims"):
-        assemble_state([sets[0], random_set(1, 4)])
+            assert entries.tobytes() == reduce(assemble_state(*cxy(cs)), keep).entries.tobytes(), keep
+    # scaled perturbations give bitwise the scaled sets' states
+    t = 0.0625
+    scaled = assemble_state(c, t * x, t * y).amp
+    for cs, amp in zip(sets, scaled):
+        assert amp.tobytes() == assemble_state(*cxy(cs.scaled(t))).amp.tobytes()
+    # one c broadcasts against the stack: bitwise each draw with its own c
+    one_c = [dataclasses.replace(cs, c=sets[0].c) for cs in sets]
+    assert assemble_state(sets[0].c, x, y).amp.tobytes() == assemble_state(*model._stacked(one_c)).amp.tobytes()
 
 
 def _bad(dim, kind, size=1.0):
@@ -676,7 +681,7 @@ def test_general_mode_odd_bell_state():
     dims = SpinDims(0)
     c = (1 / np.sqrt(2), 1 / np.sqrt(2), 0, 0)
     cs = CoefficientSet(dims, c, np.zeros((4, 1)), np.zeros((4, 1)))
-    rho = reduce(assemble_state(cs), "D")
+    rho = reduce(assemble_state(*cxy(cs)), "D")
     expected = np.zeros((4, 4), dtype=complex)
     expected[np.ix_([1, 2], [1, 2])] = 0.5
     np.testing.assert_allclose(rho.entries, expected, atol=1e-14)
@@ -690,7 +695,7 @@ def test_general_mode_four_level_state_is_well_formed():
     y = 0.3 * rng.random((4, 3))
     cs = CoefficientSet(dims, np.full(4, 0.5), x, y)
     assert not cs.is_two_level
-    state = assemble_state(cs)
+    state = assemble_state(*cxy(cs))
     assert abs(np.sum(np.abs(state.amp) ** 2) - 1.0) <= 1e-12
     c = wootters_concurrence(reduce(state, "D"))
     assert 0.0 <= c <= 1.0
@@ -709,7 +714,7 @@ def test_general_mode_four_level_state_is_well_formed():
     st.integers(min_value=1, max_value=8),
 )
 def test_schmidt_spectra_match_across_the_cut(seed, two_s):
-    state = assemble_state(random_set(seed, two_s, x_max=0.5, c=random_c(seed + 3)))
+    state = assemble_state(*cxy(random_set(seed, two_s, x_max=0.5, c=random_c(seed + 3))))
     ev_d = np.sort(np.linalg.eigvalsh(reduce(state, "D").entries))[::-1]
     ev_m = np.sort(np.linalg.eigvalsh(reduce(state, "M").entries))[::-1]
     k = min(ev_d.size, ev_m.size)
@@ -725,7 +730,7 @@ def test_schmidt_spectra_match_across_the_cut(seed, two_s):
     st.integers(min_value=1, max_value=8),
 )
 def test_single_qubit_tangles_are_symmetric(seed, two_s):
-    state = assemble_state(random_set(seed, two_s, x_max=0.5, c=random_c(seed + 4)))
+    state = assemble_state(*cxy(random_set(seed, two_s, x_max=0.5, c=random_c(seed + 4))))
     t1 = one_tangle(reduce(state, "Q1"))
     t2 = one_tangle(reduce(state, "Q2"))
     assert abs(t1 - t2) <= 1e-12
@@ -738,7 +743,7 @@ def test_single_qubit_tangles_are_symmetric(seed, two_s):
     st.integers(min_value=1, max_value=6),
 )
 def test_reductions_are_valid_density_matrices(seed, two_s_a, two_s_b):
-    state = assemble_state(random_set(seed, two_s_a, two_s_b, x_max=0.5))
+    state = assemble_state(*cxy(random_set(seed, two_s_a, two_s_b, x_max=0.5)))
     for keep in ("D", "Q1", "Q2", "M", "A", "B"):
         rho = reduce(state, keep)  # Hermiticity and trace checked on construction
         assert rho.min_eigenvalue() >= -1e-10
@@ -907,6 +912,6 @@ def test_pure_state_rejects_a_finite_amplitude_whose_norm_overflows():
 
 
 def test_pure_state_adopts_the_assembled_tensor():
-    state = assemble_state(random_set(1, 3, 5, x_max=0.4))
+    state = assemble_state(*cxy(random_set(1, 3, 5, x_max=0.4)))
     assert not state.amp.flags.writeable
     assert PureState(state.dims, state.amp).amp is state.amp

@@ -27,6 +27,7 @@ from spinshield.sweep import (
     trial_rng,
     trial_seed,
 )
+from util import cxy
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +218,8 @@ def test_run_sweep_error_in_a_chunk_names_the_global_trial(monkeypatch, workers)
 
 
 def test_crosscheck_reads_each_trial_once_for_every_n(monkeypatch):
-    # the engine reads the 4 trials of both two_s once; the crosscheck of
-    # two_s = 2 reads each of its 4 trials once more, for all 3 n
+    # the engine reads the 4 trials of both two_s once, and the crosscheck of
+    # two_s = 2 runs on the engine's draws for all 3 n without reading again
     original = sweep_mod.trial_rng
     keys = []
 
@@ -228,8 +229,8 @@ def test_crosscheck_reads_each_trial_once_for_every_n(monkeypatch):
 
     monkeypatch.setattr(sweep_mod, "trial_rng", counting)
     run_sweep(SweepConfig(two_s_values=(2, 10), n_values=(1, 2, 3), trials=4), workers=1)
-    assert len(keys) == 12
-    assert sorted(keys) == sorted([(2, t) for t in range(1, 5)] * 2 + [(10, t) for t in range(1, 5)])
+    assert len(keys) == 8
+    assert sorted(keys) == [(two_s, t) for two_s in (2, 10) for t in range(1, 5)]
 
 
 def test_crosscheck_failure_at_a_later_n_names_that_n(monkeypatch):
@@ -262,7 +263,7 @@ def _per_trial_crosscheck(config, two_s, rows):
         unit = sample_coefficients(dims, 1.0, 1.0, config.c, trial_rng(config.master_seed, two_s, t + 1))
         for j, n in enumerate(config.n_values):
             try:
-                state = oracle.assemble_state(unit.scaled(x_max_schedule(two_s, n)))
+                state = oracle.assemble_state(*cxy(unit.scaled(x_max_schedule(two_s, n))))
                 dc = abs(rows[j, t, 0] - oracle.wootters_concurrence(oracle.reduce(state, "D")))
                 dtau = abs(rows[j, t, 1] - oracle.one_tangle(oracle.reduce(state, "Q1")))
                 if dc > sweep_mod.ORACLE_CROSSCHECK_TOL or dtau > sweep_mod.ORACLE_CROSSCHECK_TOL:
@@ -292,7 +293,7 @@ def test_a_crosscheck_failure_inside_a_stack_names_the_per_trial_coordinates(mon
     for trial in range(1, 7):
         unit = sample_coefficients(dims, 1.0, 1.0, config.c, trial_rng(0, 4, trial))
         for n in config.n_values:
-            rho = oracle.reduce(oracle.assemble_state(unit.scaled(x_max_schedule(4, n))), "D")
+            rho = oracle.reduce(oracle.assemble_state(*cxy(unit.scaled(x_max_schedule(4, n)))), "D")
             key[rho.entries.tobytes()] = (trial, n)
     original = oracle.wootters_concurrence
 
@@ -315,48 +316,46 @@ def test_a_crosscheck_failure_inside_a_stack_names_the_per_trial_coordinates(mon
     assert (err.value.two_s, err.value.n, err.value.trial, err.value.detail) == (4, n, trial, message)
 
 
-def test_a_crosscheck_whose_first_draw_fails_names_its_first_trial(monkeypatch):
-    # no draw of the chunk succeeds, so the oracle gets an empty stack, which
-    # it does not run; the failed draw names the chunk's first trial and n
-    config = SweepConfig(two_s_values=(2,), n_values=(2, 3), trials=4)
+@pytest.mark.parametrize(
+    "faults, max_dim, expected",
+    [
+        ({(1, 0): "c", (2, 1): "slack"}, 64, "monogamy violated: slack = -0.001"),
+        ({(2, 1): "c"}, 64, "closed form disagrees with oracle"),
+        ({(2, 1): "c"}, 0, None),
+    ],
+    ids=["engine-failure-after-held-failure", "later-batch", "crosscheck-off"],
+)
+def test_a_task_holds_its_first_crosscheck_failure_until_its_last_batch(monkeypatch, faults, max_dim, expected):
+    # trials 1 .. 4 of two_s = 2 run in two batches of 2.  faults maps
+    # (batch, offset) to "c", a C lowered by 1e-6 that only the crosscheck
+    # sees, or to "slack", a negative slack that the engine refuses.  Each
+    # case fails at trial 4 of batch 2, also after trial 1 of batch 1 failed
+    # its crosscheck, and with the crosscheck off a lowered C passes
+    monkeypatch.setattr(sweep_mod, "_BATCH_BYTES", 2 * sweep_mod._draw_bytes(SpinDims(2)))
+    assert sweep_mod._batch_trials(SpinDims(2)) == 2
+    original = sweep_mod.closedform._from_sums
+    batches = []
 
-    def failing_draw(*args):
-        raise RuntimeError("injected draw failure")
+    def faulty(x_sums, y_sums, w3, w4):
+        c, tau, slack = (v.copy() for v in original(x_sums, y_sums, w3, w4))
+        batches.append(None)
+        for (batch, i), kind in faults.items():
+            if batch == len(batches):
+                if kind == "c":
+                    c[i] -= 1e-6
+                else:
+                    slack[i] = -1e-3
+        return c, tau, slack
 
-    monkeypatch.setattr(sweep_mod, "sample_coefficients", failing_draw)
+    monkeypatch.setattr(sweep_mod.closedform, "_from_sums", faulty)
+    config = SweepConfig(two_s_values=(2,), n_values=(1,), trials=4, oracle_crosscheck_max_dim=max_dim)
+    if expected is None:
+        assert sweep_mod._task_rows(config, 2, 1, 5).shape == (1, 4, 3)
+        return
     with pytest.raises(SweepError) as err:
         sweep_mod._task_rows(config, 2, 1, 5)
-    assert (err.value.two_s, err.value.n, err.value.trial) == (2, 2, 1)
-    assert err.value.detail == "injected draw failure"
-
-
-@pytest.mark.parametrize("earlier_fault", [False, True])
-def test_a_crosscheck_draw_failure_comes_after_the_trials_before_it(monkeypatch, earlier_fault):
-    # trial 3's crosscheck draw fails, which names the first n; a disagreement
-    # at trial 2, n = 3 comes first in the per-trial order
-    config = SweepConfig(two_s_values=(2,), n_values=(1, 3), trials=5)
-    rows = sweep_mod._task_rows(config, 2, 1, 6)
-    if earlier_fault:
-        rows[1, 1, 1] += 1e-6
-    trials = []
-    original_rng, original_draw = sweep_mod.trial_rng, sweep_mod.sample_coefficients
-
-    def recording_rng(master_seed, two_s, trial):
-        trials.append(trial)
-        return original_rng(master_seed, two_s, trial)
-
-    def failing_draw(*args):
-        if trials[-1] == 3:
-            raise RuntimeError("injected draw failure")
-        return original_draw(*args)
-
-    monkeypatch.setattr(sweep_mod, "trial_rng", recording_rng)
-    monkeypatch.setattr(sweep_mod, "sample_coefficients", failing_draw)
-    with pytest.raises(SweepError) as err:
-        sweep_mod._crosscheck(config, SpinDims(2), 2, 1, rows)
-    expected = (3, 2, "closed form disagrees") if earlier_fault else (1, 3, "injected draw failure")
-    assert (err.value.n, err.value.trial) == expected[:2]
-    assert err.value.detail.startswith(expected[2])
+    assert (err.value.two_s, err.value.n, err.value.trial) == (2, 1, 4)
+    assert err.value.detail.startswith(expected)
 
 
 def test_run_sweep_skips_crosscheck_above_gate():
@@ -423,11 +422,13 @@ def test_sweep_error_is_picklable():
 
 
 @pytest.mark.parametrize("complex_mode", [False, True])
-@pytest.mark.parametrize("two_s", [1, 10, 100000])
+@pytest.mark.parametrize("two_s", [1, 2, 4, 7, 10, 100, 100000])
 def test_engine_draw_is_sample_coefficients_for_every_n(two_s, complex_mode):
-    # two trials read into one batch, then scaled by each n's bound: the rows
-    # are bitwise those sample_coefficients draws from the same stream
-    dims, c, trials = SpinDims(two_s), SweepConfig().c, (1, 2)
+    # trials read into one batch, then scaled by each n's bound: the rows are
+    # bitwise those sample_coefficients draws from the same stream.  The
+    # crosscheck runs the oracle on the same unit rows, scaled the same way
+    dims, c = SpinDims(two_s), SweepConfig().c
+    trials = (1, 2) if two_s == 100000 else range(1, 21)
     draws = sweep_mod._Draws(dims.m_a, len(trials), complex_mode)
     for t, trial in enumerate(trials):
         draws.draw(t, trial_rng(0, two_s, trial))
@@ -443,27 +444,6 @@ def test_engine_draw_is_sample_coefficients_for_every_n(two_s, complex_mode):
                     assert not want.imag.any()
                     want = want.real
                 assert np.ascontiguousarray(want).tobytes() == rows[t].tobytes(), (n, name, trial)
-
-
-@pytest.mark.parametrize("complex_mode", [False, True])
-@pytest.mark.parametrize("two_s", [1, 2, 4, 7, 100])
-def test_crosscheck_sees_the_engine_draw_bit_for_bit(two_s, complex_mode):
-    # _crosscheck hands the oracle the unit draw scaled by each n's bound:
-    # bitwise the rows the engine evaluates for that n
-    dims, c, trials = SpinDims(two_s), SweepConfig().c, range(1, 21)
-    draws = sweep_mod._Draws(dims.m_a, len(trials), complex_mode)
-    units = []
-    for t, trial in enumerate(trials):
-        draws.draw(t, trial_rng(0, two_s, trial))
-        units.append(sample_coefficients(dims, 1.0, 1.0, c, trial_rng(0, two_s, trial), complex_mode))
-    for n in (1, 2, 3):
-        bound = x_max_schedule(two_s, n)
-        for side, name in ((0, "x"), (1, "y")):
-            rows = draws.side(side, bound, len(trials))
-            for t, unit in enumerate(units):
-                want = getattr(unit.scaled(bound), name)[2:4]
-                want = want if complex_mode else want.real
-                assert np.ascontiguousarray(want).tobytes() == rows[t].tobytes(), (n, name, t + 1)
 
 
 @pytest.mark.parametrize("complex_mode", [False, True])

@@ -25,6 +25,11 @@ def worked_example():
     return CoefficientSet(dims, BELL_C, x, y)
 
 
+def cxy(cs):
+    """The (c, x, y) arrays of one CoefficientSet, as the oracle's array entry points take them."""
+    return cs.c, cs.x, cs.y
+
+
 def random_set(seed, two_s_a, two_s_b=None, x_max=0.5, c=BELL_C, complex_mode=False):
     """Deterministic random draw for property tests."""
     rng = np.random.Generator(np.random.PCG64(seed))
