@@ -447,6 +447,37 @@ def test_engine_draw_is_sample_coefficients_for_every_n(two_s, complex_mode):
 
 
 @pytest.mark.parametrize("complex_mode", [False, True])
+@pytest.mark.parametrize("two_s", [1, 2, 4, 7, 100])
+def test_crosscheck_sees_the_engine_draw_bit_for_bit(monkeypatch, two_s, complex_mode):
+    # _crosscheck hands the oracle the engine's unit draw scaled by each n's
+    # bound, zero-padded: bitwise the rows the engine evaluates for that n
+    dims, trials = SpinDims(two_s), range(1, 21)
+    config = SweepConfig(two_s_values=(two_s,), trials=len(trials), complex_mode=complex_mode)
+    draws = sweep_mod._Draws(dims.m_a, len(trials), complex_mode)
+    for t, trial in enumerate(trials):
+        draws.draw(t, trial_rng(0, two_s, trial))
+    bounds = [x_max_schedule(two_s, n) for n in config.n_values]
+    seen = []
+    # only the oracle's inputs are recorded, so two_s above its gate runs too
+    monkeypatch.setattr(oracle, "assemble_state", lambda c, x, y: seen.append((x.copy(), y.copy())))
+    monkeypatch.setattr(oracle, "reduce", lambda state, part: None)
+    monkeypatch.setattr(oracle, "wootters_concurrence", lambda rho: np.nan)
+    monkeypatch.setattr(oracle, "one_tangle", lambda rho: np.nan)
+    rows = np.full((len(bounds), len(trials), 3), np.nan)  # no deviation: every stack runs once
+    assert sweep_mod._crosscheck(config, bounds, 1, draws.unit, rows) is None
+    # the oracle runs chunk by chunk of trials, each chunk once per n
+    for j, bound in enumerate(bounds):
+        mine = seen[j::len(bounds)]
+        for side in (0, 1):
+            got = np.concatenate([xy[side] for xy in mine])
+            assert got.shape == (len(trials), 4, dims.m_a)
+            assert not got[:, :2].any()
+            want = draws.side(side, bound, len(trials))
+            assert np.ascontiguousarray(got[:, 2:].real).tobytes() == np.ascontiguousarray(want.real).tobytes()
+            assert np.array_equal(got[:, 2:].imag, want.imag), (two_s, j, side)
+
+
+@pytest.mark.parametrize("complex_mode", [False, True])
 def test_engine_rows_are_evaluate_of_each_draw(complex_mode):
     # batched sums and measures are bitwise those of one draw at a time,
     # for unequal weights and batches of several trials
