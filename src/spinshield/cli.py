@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
-import functools
 import json
 import math
 import os
@@ -27,6 +26,8 @@ from .sweep import (
     MemoryBudgetError,
     SweepConfig,
     SweepPoint,
+    _Draws,
+    _padded_xy,
     check_memory_budget,
     plan_sweep,
     run_sweep,
@@ -316,101 +317,102 @@ def _case_point(case: int, two_s_max: int) -> tuple[int, float]:
     return 1 + (case - 1) % two_s_max, _VERIFY_X_MAXES[(case - 1) % len(_VERIFY_X_MAXES)]
 
 
-def _verify_case(master_seed: int, family_index: int, case: int, two_s_max: int):
-    """Deterministic coefficient set for one family/case pair, at its _case_point."""
-    two_s, x_max = _case_point(case, two_s_max)
-    rng = trial_rng(master_seed, 1000 * family_index + two_s, case)
-    theta = rng.uniform(0.0, np.pi / 2.0)
-    phases = np.exp(2j * np.pi * rng.random(2))
-    c = (0j, 0j, np.cos(theta) * phases[0], np.sin(theta) * phases[1])
-    return sample_coefficients(SpinDims(two_s), x_max, x_max, c, rng)
+def _verify_draws(master_seed: int, family_index: int, two_s: int, cases: list, x_maxes: list) -> tuple:
+    """(c, x, y) of a family's cases at one two_s, stacked in case order.
 
-
-def _check_monogamy(cs, tol: float) -> bool:
-    # the paper's tau >= C**2 on the reported C and tau: evaluate refuses a
-    # negative slack, and the slack must be tau - C**2 within tol
-    r = closedform.evaluate(cs)
-    return abs((r.one_tangle - r.concurrence * r.concurrence) - r.monogamy_slack) <= tol
-
-
-def _check_separability(cs, tol: float) -> bool:
-    return oracle.separability_structure_check(cs, tol)
-
-
-def _check_quadratic_gap(cs, tol: float) -> bool:
-    # the gap is quadratic in the perturbation scale: each halving must cut it
-    # to at most 0.4 of its value (ideally 0.25).  The three scalings are one
-    # stack, bit for bit evaluate of cs.scaled(t), and fail with the error
-    # evaluate raises for the first that fails
-    t = np.array([0.125, 0.0625, 0.03125])[:, None, None]
-    sums = [closedform._side_sums(t * closedform._rows_of(p)) for p in (cs.x, cs.y)]
-    measures = closedform._from_sums(*sums, *(abs(c) for c in cs.c[2:].tolist()))
-    failure = closedform._first_failure(*sums, *measures)
-    if failure is not None:
-        raise ValueError(failure[1])
-    g1, g2, g3 = np.abs(measures[2])
-    return g2 <= 0.4 * g1 and g3 <= 0.4 * g2
-
-
-def _each_case(check):
-    """A family that checks each draw on its own, as it comes: one check(cs, tol) call per verdict."""
-    return lambda sets, tol: (functools.partial(check, cs, tol) for cs in sets)
-
-
-def _oracle_family(keeps: tuple[str, ...], read, holds):
-    """A family that checks its draws against the dense oracle, all at once.
-
-    ``read`` takes the stacks of oracle.reductions and gives one value per
-    draw, so the checks and read-outs run once over the family's draws; a
-    draw's verdict is ``holds(cs, value, tol)``, or the oracle's error for
-    it (see oracle.per_entry).
+    Each case's stream is read once: theta and the two phases of its device
+    weights, then its unit rows through the sweep engine's draw, scaled by
+    its x_max.  The arrays are bitwise those of
+    sample_coefficients(SpinDims(two_s), x_max, x_max, c, rng).
     """
-
-    def family(sets, tol):
-        sets = list(sets)
-        values = np.empty(len(sets))
-
-        def run(idx):
-            values[idx] = read(*oracle.reductions([sets[i] for i in idx], keeps))
-
-        errors = oracle.per_entry(run, len(sets))
-
-        def verdict(i, cs):
-            if i in errors:
-                raise errors[i]
-            return holds(cs, values[i], tol)
-
-        return (functools.partial(verdict, i, cs) for i, cs in enumerate(sets))
-
-    return family
+    draws = _Draws(two_s + 1, len(cases), complex_mode=False)
+    c = np.zeros((len(cases), 4), np.complex128)
+    for i, case in enumerate(cases):
+        rng = trial_rng(master_seed, 1000 * family_index + two_s, case)
+        theta = rng.uniform(0.0, np.pi / 2.0)
+        phases = np.exp(2j * np.pi * rng.random(2))
+        c[i, 2:] = np.cos(theta) * phases[0], np.sin(theta) * phases[1]
+        draws.draw(i, rng)
+    return (c, *_padded_xy(draws.unit, np.array(x_maxes)[:, None, None]))
 
 
-# the families look their callees up as module attributes when they are called,
-# so that perfbench's tracer, which patches those attributes, sees every call
+# Each family checks stacked draws (c, x, y) against tol and gives one verdict
+# per draw, or raises the error of its first failing draw.  The families look
+# their callees up as module attributes when they are called, so that
+# perfbench's tracer, which patches those attributes, sees every call
+
+
+def _check_monogamy(c, x, y, tol):
+    # the paper's tau >= C**2 on the reported C and tau: the closed forms refuse
+    # a negative slack, and the slack must be tau - C**2 within tol
+    conc, tau, slack = closedform._measures(c, x, y)
+    return np.abs((tau - conc * conc) - slack) <= tol
+
+
+def _check_oracle_concurrence(c, x, y, tol):
+    value = oracle.wootters_concurrence(oracle.reduce(oracle.assemble_state(c, x, y), "D"))
+    return np.abs(closedform._measures(c, x, y)[0] - value) <= tol
+
+
+def _check_oracle_tangle(c, x, y, tol):
+    value = oracle.one_tangle(oracle.reduce(oracle.assemble_state(c, x, y), "Q1"))
+    return np.abs(closedform._measures(c, x, y)[1] - value) <= tol
+
+
+def _check_symmetry(c, x, y, tol):
+    state = oracle.assemble_state(c, x, y)
+    tau1, tau2 = (oracle.one_tangle(oracle.reduce(state, keep)) for keep in ("Q1", "Q2"))
+    return np.abs(tau1 - tau2) <= tol
+
+
+def _check_separability(c, x, y, tol):
+    return np.array([oracle.separability_structure_check(*draw, tol) for draw in zip(c, x, y)])
+
+
+def _check_quadratic_gap(c, x, y, tol):
+    # the gap is quadratic in the perturbation scale: each halving must cut it
+    # to at most 0.4 of its value (ideally 0.25).  A draw's three scalings are
+    # the last axis of one stack
+    t = np.array([0.125, 0.0625, 0.03125])[:, None, None]
+    slack = closedform._measures(c[:, None], t * x[:, None], t * y[:, None])[2]
+    g1, g2, g3 = np.abs(slack).T
+    return (g2 <= 0.4 * g1) & (g3 <= 0.4 * g2)
+
+
 _VERIFY_CHECKS = {
-    "monogamy": _each_case(_check_monogamy),
-    "oracle-concurrence": _oracle_family(
-        ("D",),
-        lambda rho_d: oracle.wootters_concurrence(rho_d),
-        lambda cs, c, tol: abs(closedform.evaluate(cs).concurrence - c) <= tol,
-    ),
-    "oracle-tangle": _oracle_family(
-        ("Q1",),
-        lambda rho_q1: oracle.one_tangle(rho_q1),
-        lambda cs, tau, tol: abs(closedform.evaluate(cs).one_tangle - tau) <= tol,
-    ),
-    "symmetry": _oracle_family(
-        ("Q1", "Q2"),
-        lambda rho_q1, rho_q2: np.abs(oracle.one_tangle(rho_q1) - oracle.one_tangle(rho_q2)),
-        lambda cs, dev, tol: dev <= tol,
-    ),
-    "separability": _each_case(_check_separability),
-    "quadratic-gap": _each_case(_check_quadratic_gap),
+    "monogamy": _check_monogamy,
+    "oracle-concurrence": _check_oracle_concurrence,
+    "oracle-tangle": _check_oracle_tangle,
+    "symmetry": _check_symmetry,
+    "separability": _check_separability,
+    "quadratic-gap": _check_quadratic_gap,
 }
 
-# cases a family checks as one stack: with two_s_max = 63 a stack of 1024
-# holds about 16 draws at each two_s, whose amplitude tensors take 4.2 MB
+# cases a family draws and checks at once, one stack per two_s: with
+# two_s_max = 63 a chunk of 1024 holds about 16 draws at each two_s, whose
+# amplitude tensors take 4.2 MB
 _VERIFY_STACK = 1024
+
+
+def _verify_chunk(args, family_index: int, check, cases: range) -> dict:
+    """{case: verdict} of a chunk of a family's cases: True, False, or the error the case raises alone.
+
+    The cases at each two_s are one stack, checked at once; oracle.per_entry
+    gives each case of a stack that raises its own verdict or error.
+    """
+    points = {case: _case_point(case, args.two_s_max) for case in cases}
+    verdicts = {}
+    for two_s in dict.fromkeys(two_s for two_s, _ in points.values()):
+        group = [case for case in cases if points[case][0] == two_s]
+        c, x, y = _verify_draws(args.seed, family_index, two_s, group, [points[case][1] for case in group])
+        ok = np.zeros(len(group), dtype=bool)
+
+        def run(idx):
+            ok[idx] = check(c[idx], x[idx], y[idx], args.tol)
+
+        errors = oracle.per_entry(run, len(group))
+        verdicts.update((case, errors.get(i, bool(ok[i]))) for i, case in enumerate(group))
+    return verdicts
 
 
 def cmd_verify(args) -> int:
@@ -428,21 +430,19 @@ def cmd_verify(args) -> int:
         passed = 0
         for first in range(1, args.cases + 1, _VERIFY_STACK):
             cases = range(first, min(first + _VERIFY_STACK, args.cases + 1))
-            draws = (_verify_case(args.seed, family_index, case, args.two_s_max) for case in cases)
-            for case, verdict in zip(cases, check(draws, args.tol)):
-                two_s, x_max = _case_point(case, args.two_s_max)
-                try:
-                    ok, reason = verdict(), ""
-                except ValueError as exc:  # a validated type refused the draw (LinAlgError too)
-                    ok, reason = False, f": {exc}"
-                if ok:
+            for case, verdict in sorted(_verify_chunk(args, family_index, check, cases).items()):
+                if verdict is True:
                     passed += 1
-                else:
-                    print(
-                        f"FAIL {family}: case={case} two_s={two_s} x_max={x_max} "
-                        f"seed={args.seed}{reason}",
-                        file=sys.stderr,
-                    )
+                    continue
+                # a validated type refuses a draw with a ValueError (LinAlgError too)
+                if isinstance(verdict, Exception) and not isinstance(verdict, ValueError):
+                    raise verdict
+                two_s, x_max = _case_point(case, args.two_s_max)
+                reason = "" if verdict is False else f": {verdict}"
+                print(
+                    f"FAIL {family}: case={case} two_s={two_s} x_max={x_max} seed={args.seed}{reason}",
+                    file=sys.stderr,
+                )
         print(f"{family}: {passed}/{args.cases}")
         if passed != args.cases:
             all_pass = False

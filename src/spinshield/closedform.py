@@ -7,9 +7,10 @@ exactly what makes concurrence**2 <= one_tangle hold, so the two measures
 coincide at first order in the perturbations and the gap between them decays
 quadratically.
 
-One kernel on plain arrays serves a single draw and the sweep's stacks of
-draws alike: ``_side_sums`` reduces each side's rows along the last axis,
-and ``_from_sums`` forms the measures from the sums.
+One kernel on plain arrays serves every stack of draws: ``_side_sums``
+reduces each side's rows along the last axis, and ``_from_sums`` forms the
+measures from the sums.  The sweep engine and ``verify`` run it on their
+stacks; ``evaluate`` and ``branch_sums`` run it on a stack of one draw.
 """
 
 from __future__ import annotations
@@ -66,12 +67,10 @@ def _modulus(z) -> tuple:
     numpy's complex abs rounds differently from the C library's hypot, and
     the C library's pow(x, 2) differs from x * x in the last bit, so no
     ufunc stands in for either: the sweep's outputs are pinned bit for bit.
-    A draw has one S34 per side, so the loop is short.  A scalar gives two
-    floats.
+    A draw has one S34 per side, so the loop is short.  Gives an array
+    (2, ...) of z's shape; z may be a number.
     """
-    if not isinstance(z, np.ndarray) or not z.ndim:
-        z = complex(z)
-        return abs(z), z.real**2 + z.imag**2
+    z = np.asarray(z)
     pairs = np.array([(abs(v), v.real**2 + v.imag**2) for v in z.ravel().tolist()])
     return pairs.T.reshape((2, *z.shape))
 
@@ -96,18 +95,14 @@ def _sum_checks(x_sums, y_sums) -> tuple:
 
 
 def _complex(re, im):
-    """re + i im with both parts kept bit for bit: a complex array, or a complex for floats."""
-    if not isinstance(re, np.ndarray):
-        return complex(re, im)
+    """re + i im of arrays, with both parts kept bit for bit."""
     z = np.empty(re.shape, np.complex128)
     z.real, z.imag = re, im
     return z
 
 
 def _quotient(num, den):
-    """num / den where den > 0, and 0.0 elsewhere: entrywise on arrays, or on floats."""
-    if not isinstance(den, np.ndarray):
-        return num / den if den > 0.0 else 0.0
+    """num / den where den > 0, and 0.0 elsewhere, entrywise on arrays."""
     return np.divide(num, den, out=np.zeros(den.shape), where=den > 0.0)
 
 
@@ -117,9 +112,8 @@ def _side_sums(block: np.ndarray) -> tuple:
     ``block`` is a float64 (real rows) or complex128 array of shape
     (..., 2, m) whose last axis is contiguous for complex rows.  A stack of
     draws gives arrays of the leading shape (...), each row reduced on its
-    own; one draw, a (2, m) block, gives floats and a complex.  Every sum is
-    taken over the perturbations alone, never over 1 + x, so the O(m) part
-    is the exact integer m:
+    own.  Every sum is taken over the perturbations alone, never over 1 + x,
+    so the O(m) part is the exact integer m:
 
         S3  = m + 2 Re sum x3 + sum |x3|^2,
         S34 = m + sum x3 + sum conj(x4) + sum x3 conj(x4).
@@ -148,13 +142,7 @@ def _side_sums(block: np.ndarray) -> tuple:
         cross -= x3.real * x4.imag
         w = np.add.reduce(cross, axis=-1, keepdims=True)
         del cross
-    # one draw: the arithmetic below runs on Python scalars, which makes evaluate
-    # about 3x faster than a stack of one at m = 17, the size verify draws
-    if block.ndim == 2:
-        (a3, a4), q3, q4, p = a.ravel().tolist(), q3.item(), q4.item(), p.item()
-        w = w.item() if is_complex else w
-    else:
-        a3, a4 = a[..., 0, :], a[..., 1, :]
+    a3, a4 = a[..., 0, :], a[..., 1, :]
     s3 = m + (2.0 * a3.real + q3)
     s4 = m + (2.0 * a4.real + q4)
     s34 = _complex(m + (a3.real + a4.real) + p, (a3.imag - a4.imag) + w)
@@ -174,17 +162,15 @@ def _side_sums(block: np.ndarray) -> tuple:
     if is_complex:
         r = r.view(np.float64)
     g = s3 * np.add.reduce(np.square(r, out=r), axis=-1, keepdims=True)
-    if block.ndim == 2:
-        return s3, s4, s34, g.item()
     return s3[..., 0], s4[..., 0], s34[..., 0], g[..., 0]
 
 
-def _from_sums(x_sums, y_sums, w3: float, w4: float) -> tuple:
+def _from_sums(x_sums, y_sums, w3, w4) -> tuple:
     """(concurrence, one-tangle, monogamy slack) from the branch sums of each side.
 
-    The sums are those of :func:`_side_sums`, of one draw or of a stack;
-    w3 = |c3| and w4 = |c4|.  The slack
-    tau - C**2 = 4 |c3 c4|^2 (X3 X4 Y3 Y4 - |X34 Y34|^2) / N^4 is expanded
+    The sums are those of :func:`_side_sums` for a stack of draws; w3 = |c3|
+    and w4 = |c4|, numbers or arrays that broadcast against the stack.  The
+    slack tau - C**2 = 4 |c3 c4|^2 (X3 X4 Y3 Y4 - |X34 Y34|^2) / N^4 is expanded
     through X3 X4 = GX + |X34|^2 into a sum of nonnegative terms, so it is
     nonnegative by construction and free of cancellation.
     """
@@ -207,39 +193,55 @@ def _first_failure(x_sums, y_sums, c, tau, slack) -> tuple[int, str] | None:
 
     The checks are the rows of :class:`BranchSums` and then of
     :class:`EntanglementReport`, and the message is the one that building
-    those types from draw i's values raises.
+    those types from draw i's values raises.  A stack of several leading
+    axes is taken in C order, and i is the flat index of the draw.
     """
     rows = (*_sum_checks(x_sums, y_sums), *_report_checks(c, tau, slack))
-    fails = np.logical_not([holds for holds, _, _ in rows])  # (check, draw)
+    fails = np.logical_not([holds for holds, _, _ in rows]).reshape(len(rows), -1)  # (check, draw)
     bad = fails.any(axis=0)
     if not bad.any():
         return None
     i = int(np.argmax(bad))
     _, message, value = rows[int(np.argmax(fails[:, i]))]
-    return i, message.format(None if value is None else value[i].item())
+    return i, message.format(None if value is None else value.flat[i].item())
 
 
-def _rows_of(matrix: np.ndarray) -> np.ndarray:
-    """Rows d = 3, 4 of a perturbation matrix, as real vectors when they have no imaginary part."""
-    block = matrix[2:4]
+def _rows_of(p: np.ndarray) -> np.ndarray:
+    """Rows d = 3, 4 (..., 2, m) of stacked perturbations (..., 4, m), real if the stack has no imaginary part."""
+    block = p[..., 2:4, :]
     return block if block.imag.any() else block.real
 
 
+def _measures(c, x, y) -> tuple:
+    """(C, tau, slack) of stacked two-level draws, arrays of the stack's leading shape.
+
+    ``c`` (..., 4), ``x`` (..., 4, m_a) and ``y`` (..., 4, m_b) are stacked
+    as the oracle takes them, and ``c`` may broadcast against the leading
+    axes of ``x`` and ``y``.  Raises the ValueError that building
+    :class:`BranchSums` and :class:`EntanglementReport` from the first
+    failing draw's values raises (see :func:`_first_failure`).
+    """
+    x_sums, y_sums = _side_sums(_rows_of(x)), _side_sums(_rows_of(y))
+    w3, w4 = np.moveaxis(_modulus(c[..., 2:])[0], -1, 0)
+    measures = _from_sums(x_sums, y_sums, w3, w4)
+    failure = _first_failure(x_sums, y_sums, *measures)
+    if failure is not None:
+        raise ValueError(failure[1])
+    return measures
+
+
 def branch_sums(cs: CoefficientSet) -> BranchSums:
-    """Accumulate the six apparatus sums of a two-level coefficient set."""
+    """Accumulate the six apparatus sums of a two-level coefficient set, as a stack of one draw."""
     _require_two_level(cs)
-    X3, X4, X34, GX = _side_sums(_rows_of(cs.x))
-    Y3, Y4, Y34, GY = _side_sums(_rows_of(cs.y))
+    X3, X4, X34, GX = (v.item() for v in _side_sums(_rows_of(cs.x[None])))
+    Y3, Y4, Y34, GY = (v.item() for v in _side_sums(_rows_of(cs.y[None])))
     return BranchSums(X3=X3, X4=X4, Y3=Y3, Y4=Y4, X34=X34, Y34=Y34, GX=GX, GY=GY)
 
 
 def evaluate(cs: CoefficientSet) -> EntanglementReport:
-    """Both measures of one draw and their exact slack, from a single pass over the sums."""
-    bs = branch_sums(cs)
-    return EntanglementReport(*_from_sums(
-        (bs.X3, bs.X4, bs.X34, bs.GX), (bs.Y3, bs.Y4, bs.Y34, bs.GY),
-        *(abs(c) for c in cs.c[2:].tolist()),
-    ))
+    """Both measures of one draw and their exact slack, as a stack of one draw."""
+    _require_two_level(cs)
+    return EntanglementReport(*(v.item() for v in _measures(cs.c, cs.x[None], cs.y[None])))
 
 
 def concurrence_closed(cs: CoefficientSet) -> float:

@@ -8,9 +8,10 @@ parametrized by near-product amplitudes
 
 where the perturbations ``x``, ``y`` shrink as the spins grow and ``N`` is
 fixed by unit norm.  This module owns the parameter types, the normalization
-and ``sample_coefficients``, the reference draw of ``single`` and ``verify``;
-the sweep engine reads the same streams in its order, and its crosscheck runs
-the dense oracle on the engine's draws.
+and ``sample_coefficients``, the draw of ``single`` and the reference of every
+other draw: the sweep engine and ``verify`` read the same streams in its
+order, a stack of draws at a time, and run the closed forms and the dense
+oracle on those stacks.
 
 Note on the normalization convention: ``N`` is the unique positive number
 that makes the assembled state a unit vector, which scales like
@@ -44,15 +45,9 @@ def _abs2(z: np.ndarray) -> np.ndarray:
 def _clamp_unit(v):
     # Rounding can overshoot the unit interval by a few ulp; values further
     # out than the clamp window are genuine errors and are left alone.
-    # Entrywise on an array of draws; a scalar comes back as a float.
-    if isinstance(v, np.ndarray) and v.ndim:
-        v = np.where((1.0 < v) & (v <= 1.0 + _UNIT_CLAMP), 1.0, v)
-        return np.where((-_UNIT_CLAMP <= v) & (v < 0.0), 0.0, v)
-    if 1.0 < v <= 1.0 + _UNIT_CLAMP:
-        return 1.0
-    if -_UNIT_CLAMP <= v < 0.0:
-        return 0.0
-    return float(v)
+    # Entrywise; a 0-d result comes back as a numpy float.
+    v = np.where((1.0 < v) & (v <= 1.0 + _UNIT_CLAMP), 1.0, v)
+    return np.where((-_UNIT_CLAMP <= v) & (v < 0.0), 0.0, v)[()]
 
 
 def _frozen_array(values, shape) -> np.ndarray:
@@ -276,18 +271,13 @@ def sample_coefficients(
     return CoefficientSet(dims, c, x, y)
 
 
-def _stacked(sets) -> tuple:
-    """(c, x, y) of a sequence of CoefficientSets, stacked along a leading axis."""
-    return tuple(np.array([getattr(s, name) for s in sets]) for name in "cxy")
-
-
 def _level_sums(c, x, y) -> tuple:
     """(|c_d|^2, X_d, Y_d) as (..., 4) arrays and N**2 as a (...) array, for stacked draws.
 
     ``c`` (..., 4), ``x`` (..., 4, m_a) and ``y`` (..., 4, m_b) are arrays
-    whose leading axes are the stack, as :func:`_stacked` returns them; ``c``
-    may broadcast against the leading axes of ``x`` and ``y``.  X_d =
-    sum_alpha |1 + x[d,alpha]|^2 and Y_d likewise, one pairwise sum per row;
+    whose leading axes are the stack; ``c`` may broadcast against the
+    leading axes of ``x`` and ``y``.  X_d = sum_alpha |1 + x[d,alpha]|^2 and
+    Y_d likewise, one pairwise sum per row;
     |c_d|^2 comes from Python's complex abs and float ``**``, and N**2 sums
     |c_d|^2 X_d Y_d over the populated levels in level order.
     """

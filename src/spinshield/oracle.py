@@ -19,16 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    CoefficientSet,
-    SpinDims,
-    _abs2,
-    _clamp_unit,
-    _frozen_array,
-    _level_sums,
-    _stacked,
-    normalization,
-)
+from .model import SpinDims, _abs2, _clamp_unit, _frozen_array, _level_sums, normalization
 
 ORACLE_MAX_DIM = 4096
 
@@ -328,24 +319,6 @@ def reduce(state: PureState, keep: str) -> DensityMatrix:
     return DensityMatrix(rho.shape[-1], rho)
 
 
-def reductions(sets, keeps: tuple[str, ...]) -> list[DensityMatrix]:
-    """The reductions onto each of ``keeps`` of a sequence of draws of any dims, one stack per keep in draw order.
-
-    The amplitude tensors stack per dims; each stack of reductions is then
-    checked once.
-    """
-    stacks = {}
-    for dims in dict.fromkeys(cs.dims for cs in sets):
-        group = [i for i, cs in enumerate(sets) if cs.dims == dims]
-        state = assemble_state(*_stacked([sets[i] for i in group]))
-        for keep in keeps:
-            rho = _partial_trace(state, keep)
-            stacks.setdefault(keep, np.empty((len(sets), *rho.shape[1:]), dtype=np.complex128))[group] = rho
-    for rho in stacks.values():
-        rho.setflags(write=False)  # so DensityMatrix adopts it without a copy
-    return [DensityMatrix(rho.shape[-1], rho) for rho in stacks.values()]
-
-
 def wootters_concurrence(rho: DensityMatrix):
     """Concurrence of a two-qubit density matrix via the spin-flip spectrum; an array for a stack.
 
@@ -388,13 +361,15 @@ def one_tangle(rho: DensityMatrix):
     return _clamp_unit(4.0 * det)
 
 
-def separability_structure_check(cs: CoefficientSet, tol: float = 1e-10) -> bool:
-    """Confirm the apparatus state is an explicit mixture of product states.
+def separability_structure_check(c, x, y, tol: float = 1e-10) -> bool:
+    """Confirm the apparatus state of one draw is an explicit mixture of product states.
 
-    The reduced matrix of the two spins is rebuilt as
-    sum_d p_d |a_d><a_d| (x) |b_d><b_d| with |a_d> proportional to the
-    (1 + x[d]) column, |b_d> likewise, and p_d = |c_d|^2 X_d Y_d / N^2.
-    Returns True iff it matches the partial trace entrywise within ``tol``.
+    ``c`` (4,), ``x`` (4, m_a) and ``y`` (4, m_b) are the draw's arrays, as
+    :func:`assemble_state` takes them.  The reduced matrix of the two spins
+    is rebuilt as sum_d p_d |a_d><a_d| (x) |b_d><b_d| with |a_d>
+    proportional to the (1 + x[d]) column, |b_d> likewise, and
+    p_d = |c_d|^2 X_d Y_d / N^2.  Returns True iff it matches the partial
+    trace entrywise within ``tol``.
 
     With rho_M = K K^H (K: the state's nonzero device rows as columns) and
     W W^H (column d of W: sqrt(p_d) |a_d> (x) |b_d>), one pass over 32-row
@@ -402,12 +377,12 @@ def separability_structure_check(cs: CoefficientSet, tol: float = 1e-10) -> bool
     DensityMatrix's checks (or raises its error), then the residual is
     decided exactly by its parts on both blocks, until a strip fails it.
     """
-    amp = assemble_state(cs.c, cs.x, cs.y).amp.reshape(4, -1)
+    amp = assemble_state(c, x, y).amp.reshape(4, -1)
     k = amp[amp.any(axis=1)].T
-    w, xs, ys, n_sq = _level_sums(cs.c, cs.x, cs.y)
+    w, xs, ys, n_sq = _level_sums(c, x, y)
     live = w != 0.0
-    a = (1.0 + cs.x[live]) / np.sqrt(xs[live])[:, None]
-    b = (1.0 + cs.y[live]) / np.sqrt(ys[live])[:, None]
+    a = (1.0 + x[live]) / np.sqrt(xs[live])[:, None]
+    b = (1.0 + y[live]) / np.sqrt(ys[live])[:, None]
     # column d: sqrt(p_d) times the Kronecker product of a_d and b_d
     factor = np.sqrt(w[live] * xs[live] * ys[live] / n_sq)[:, None, None] * (a[:, :, None] * b[:, None, :])
     separable = True

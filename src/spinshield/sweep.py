@@ -283,14 +283,25 @@ class _Draws:
         return np.multiply(self.unit[:size, 2 * side:2 * side + 2], bound, out=self.rows[:size])
 
 
+def _padded_xy(unit: np.ndarray, bound) -> tuple:
+    """(x, y), (k, 4, m) complex perturbations zero in levels 1-2, of unit rows x3, x4, y3, y4 (k, 4, m) times bound.
+
+    The bound applies last, as _Draws.side and sample_coefficients apply it;
+    it is one number, or one per draw shaped (k, 1, 1).
+    """
+    k, m = len(unit), unit.shape[-1]
+    xy = np.zeros((2, k, 4, m), np.complex128)
+    np.multiply(unit.reshape(k, 2, 2, m).swapaxes(0, 1), bound, out=xy[:, :, 2:])
+    return xy[0], xy[1]
+
+
 def _crosscheck(config: SweepConfig, bounds: list, first: int, unit: np.ndarray, rows: np.ndarray):
     """The first (n, trial, cause) at which the dense oracle disagrees with the engine on a batch, or None.
 
     ``unit`` (trials, 4, m) holds the unit rows x3, x4, y3, y4 the engine
     drew for trials first, first + 1, ..., and ``rows`` (n, trials, 3) its
     results for the n of ``bounds``.  For each n the oracle runs once on the
-    unit rows scaled by its bound, as _Draws.side scales them, zero-padded to
-    (trials, 4, m) perturbations (oracle.per_entry), a chunk of trials whose
+    unit rows scaled by its bound (_padded_xy), a chunk of trials whose
     states take at most _BATCH_BYTES at a time.  The first is the one a pass
     over the trials in order, and over the n within each, would meet first.
     """
@@ -299,14 +310,13 @@ def _crosscheck(config: SweepConfig, bounds: list, first: int, unit: np.ndarray,
     for lo in range(0, len(unit), chunk):
         part = unit[lo:lo + chunk]
         k = len(part)
-        xy = np.zeros((k, 2, 4, m), np.complex128)  # the x and y perturbations
         oracle_rows = np.full((len(bounds), k, 2), np.nan)
         errors = {}  # (trial offset, n index) -> the oracle's error
         for j, bound in enumerate(bounds):
-            np.multiply(part.reshape(k, 2, 2, m), bound, out=xy[:, :, 2:])
+            x, y = _padded_xy(part, bound)
 
-            def run(idx, j=j):
-                state = oracle.assemble_state(c, xy[idx, 0], xy[idx, 1])
+            def run(idx, j=j, x=x, y=y):
+                state = oracle.assemble_state(c, x[idx], y[idx])
                 oracle_rows[j, idx, 0] = oracle.wootters_concurrence(oracle.reduce(state, "D"))
                 oracle_rows[j, idx, 1] = oracle.one_tangle(oracle.reduce(state, "Q1"))
 

@@ -109,7 +109,7 @@ def test_criterion_5_apparatus_separability():
             x_max = (0.5, 0.1, 0.01)[(case - 1) % 3]
             cs = draw(5000, two_s, case, x_max)
             assert cs.dims.m_a * cs.dims.m_b <= 1024
-            assert separability_structure_check(cs, 1e-10), f"case={case} two_s={two_s}"
+            assert separability_structure_check(*cxy(cs), 1e-10), f"case={case} two_s={two_s}"
 
 
 def test_criterion_6_figure_reproduction():

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import dataclasses
 import io
@@ -5,7 +6,6 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from spinshield import cli, oracle
 from spinshield.cli import CSV_HEADER, fnv1a64, main
 from spinshield.sweep import SweepConfig, run_sweep
+from util import verify_case
 
 
 def run_cli(args):
@@ -478,20 +479,19 @@ def test_verify_impossible_tolerance_fails(capsys):
 
 
 @pytest.mark.parametrize(
-    "family, name, fake",
+    "family, measures",
     [
         # a slack that is not tau - C**2 = 0.25
-        ("monogamy", "evaluate",
-         lambda cs: SimpleNamespace(concurrence=0.5, one_tangle=0.5, monogamy_slack=0.0)),
+        ("monogamy", (0.5, 0.5, 0.0)),
         # a slack that never shrinks with the perturbation scale; the family
         # evaluates its three scalings as one stack
-        ("quadratic-gap", "_from_sums",
-         lambda x_sums, y_sums, w3, w4: tuple(np.full(np.shape(x_sums[0]), v) for v in (0.0, 1.0, 1.0))),
+        ("quadratic-gap", (0.0, 1.0, 1.0)),
     ],
     ids=["monogamy", "quadratic-gap"],
 )
-def test_verify_forced_failure_prints_fail_and_exits_1(capsys, monkeypatch, family, name, fake):
-    monkeypatch.setattr(cli.closedform, name, fake)
+def test_verify_forced_failure_prints_fail_and_exits_1(capsys, monkeypatch, family, measures):
+    fake = lambda x_sums, y_sums, w3, w4: tuple(np.full(np.shape(x_sums[0]), v) for v in measures)  # noqa: E731
+    monkeypatch.setattr(cli.closedform, "_from_sums", fake)
     assert run_cli(["verify", "--cases", "2", "--two-s-max", "2"]) == 1
     captured = capsys.readouterr()
     assert f"FAIL {family}: case=1 two_s=1" in captured.err
@@ -500,10 +500,16 @@ def test_verify_forced_failure_prints_fail_and_exits_1(capsys, monkeypatch, fami
 
 
 def test_verify_check_that_raises_fails_its_case_and_the_others_run(capsys, monkeypatch):
-    # a negative slack makes EntanglementReport refuse the draw with a ValueError,
-    # in every family that calls evaluate; symmetry and separability never do
+    # a negative slack makes the closed forms refuse the draw with
+    # EntanglementReport's ValueError, in every family that evaluates them;
+    # symmetry and separability never do
     from_sums = cli.closedform._from_sums
-    monkeypatch.setattr(cli.closedform, "_from_sums", lambda *a: (*from_sums(*a)[:2], -1e-3))
+
+    def negative_slack(*args):
+        c, tau, slack = from_sums(*args)
+        return c, tau, np.full(np.shape(slack), -1e-3)
+
+    monkeypatch.setattr(cli.closedform, "_from_sums", negative_slack)
     assert run_cli(["verify", "--cases", "2", "--two-s-max", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out.splitlines() == [
@@ -536,40 +542,95 @@ def test_verify_monogamy_checks_the_slack_against_tau_minus_c_squared(capsys, mo
 
 def test_verify_separability_family_reads_the_oracle_when_called(capsys, monkeypatch):
     # the family looks the check up on the oracle module at each call
-    monkeypatch.setattr("spinshield.oracle.separability_structure_check", lambda cs, tol: False)
+    monkeypatch.setattr("spinshield.oracle.separability_structure_check", lambda c, x, y, tol: False)
     assert run_cli(["verify", "--cases", "2", "--two-s-max", "2"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert [line for line in lines if not line.endswith(" 2/2")] == ["separability: 0/2"]
 
 
-@pytest.mark.parametrize("stage", ["assemble_state", "wootters_concurrence"])
-def test_verify_fails_only_the_case_whose_oracle_run_fails(capsys, monkeypatch, stage):
-    # the 9 cases of two_s 1, 2 and 3 are one stack of mixed dims; the oracle
-    # refuses case 5's draw alone, building its state or reading it out, in
-    # any stack that holds it.  Case 5 fails with the error of its lone run
-    # and every other case passes
-    target = cli._verify_case(0, list(cli._VERIFY_CHECKS).index("oracle-concurrence"), 5, 3)
+@pytest.mark.parametrize(
+    "stages",
+    [("assemble_state",), ("wootters_concurrence",), ("_side_sums",), ("assemble_state", "_side_sums")],
+    ids=["assemble_state", "wootters_concurrence", "closed-form", "oracle-and-closed-form"],
+)
+def test_verify_fails_only_the_case_whose_oracle_run_fails(capsys, monkeypatch, stages):
+    # the 9 cases of two_s 1, 2 and 3 are three stacks of three; the oracle, or
+    # the closed forms, refuse case 5's draw alone, in any stack that holds it,
+    # while its group-mates 2 and 8 pass.  Case 5 fails with the error of its
+    # lone run: the oracle's where both refuse it, since the family runs the
+    # oracle first, and for the closed forms the error evaluate raises
+    target = verify_case(0, list(cli._VERIFY_CHECKS).index("oracle-concurrence"), 5, 3)
     rho = oracle.reduce(oracle.assemble_state(target.c, target.x, target.y), "D").entries.tobytes()
-    original = getattr(oracle, stage)
+    rows = target.x[2:4].real.tobytes()
+    side_sums, assemble_state, wootters_concurrence = (
+        cli.closedform._side_sums, oracle.assemble_state, oracle.wootters_concurrence)
 
-    def refusing(*args):
-        if stage == "assemble_state":
-            x = args[1]  # a stack's, or a lone draw's as separability builds it
-            held = any(e.tobytes() == target.x.tobytes() for e in x.reshape(-1, *x.shape[-2:]))
-        else:
-            held = any(e.tobytes() == rho for e in args[0].entries.reshape(-1, 4, 4))
-        if held:
-            raise ValueError(f"{stage} refuses case 5")
-        return original(*args)
+    def negative_g(block):  # G of the target's x rows turns negative
+        s3, s4, s34, g = side_sums(block)
+        held = [e.tobytes() == rows for e in block.reshape(-1, *block.shape[-2:])]
+        return s3, s4, s34, np.where(np.reshape(held, g.shape), -1.0, g)
 
-    monkeypatch.setattr(oracle, stage, refusing)
+    def refusing_state(c, x, y):  # a stack's x, or a lone draw's as separability builds it
+        if any(e.tobytes() == target.x.tobytes() for e in x.reshape(-1, *x.shape[-2:])):
+            raise ValueError("assemble_state refuses case 5")
+        return assemble_state(c, x, y)
+
+    def refusing_read_out(rho_d):
+        if any(e.tobytes() == rho for e in rho_d.entries.reshape(-1, 4, 4)):
+            raise ValueError("wootters_concurrence refuses case 5")
+        return wootters_concurrence(rho_d)
+
+    patches = {
+        "_side_sums": (cli.closedform, negative_g),
+        "assemble_state": (oracle, refusing_state),
+        "wootters_concurrence": (oracle, refusing_read_out),
+    }
+    for stage in stages:
+        owner, fake = patches[stage]
+        monkeypatch.setattr(owner, stage, fake)
+    if stages == ("_side_sums",):
+        with pytest.raises(ValueError) as refused:
+            cli.closedform.evaluate(target)
+        message = str(refused.value)
+        assert message.startswith("X sums are inconsistent")
+    else:
+        message = f"{stages[0]} refuses case 5"
     assert run_cli(["verify", "--cases", "9", "--two-s-max", "3"]) == 1
     captured = capsys.readouterr()
     assert [line for line in captured.out.splitlines() if not line.endswith(" 9/9")] == ["oracle-concurrence: 8/9"]
     two_s, x_max = cli._case_point(5, 3)
     assert captured.err.splitlines() == [
-        f"FAIL oracle-concurrence: case=5 two_s={two_s} x_max={x_max} seed=0: {stage} refuses case 5"
+        f"FAIL oracle-concurrence: case=5 two_s={two_s} x_max={x_max} seed=0: {message}"
     ]
+
+
+def test_verify_draws_each_case_once_as_sample_coefficients_does(monkeypatch):
+    # in chunks of 5 cases at two_s_max 2, the cases of two_s 2 (2, 4, 6, 8,
+    # 10 and 12) straddle both chunk boundaries, and the cases of a stack
+    # cycle through the three x_max.  Every family reads each case's stream
+    # once, and its stacked draw is bitwise sample_coefficients' draw
+    monkeypatch.setattr(cli, "_VERIFY_STACK", 5)
+    reads = collections.Counter()
+    rng = cli.trial_rng
+    monkeypatch.setattr(cli, "trial_rng", lambda *key: reads.update([key]) or rng(*key))
+    draw, calls, drawn = cli._verify_draws, [], []
+
+    def recording(master_seed, family_index, two_s, cases, x_maxes):
+        c, x, y = draw(master_seed, family_index, two_s, cases, x_maxes)
+        calls.append((family_index, two_s, list(cases)))
+        drawn.extend(((family_index, case), (c[i], x[i], y[i])) for i, case in enumerate(cases))
+        return c, x, y
+
+    monkeypatch.setattr(cli, "_verify_draws", recording)
+    assert run_cli(["verify", "--cases", "12", "--two-s-max", "2", "--seed", "4"]) == 0
+    groups = [(1, [1, 3, 5]), (2, [2, 4]), (2, [6, 8, 10]), (1, [7, 9]), (1, [11]), (2, [12])]
+    assert calls == [(f, two_s, cases) for f in range(6) for two_s, cases in groups]
+    assert reads == {(4, 1000 * f + 1 + (case - 1) % 2, case): 1 for f in range(6) for case in range(1, 13)}
+    for (family_index, case), arrays in drawn:
+        ref = verify_case(4, family_index, case, 2)
+        for got, want in zip(arrays, (ref.c, ref.x, ref.y)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (family_index, case)
 
 
 def test_verify_two_s_max_gate():

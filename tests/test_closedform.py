@@ -258,9 +258,9 @@ def test_first_failure_is_the_scalar_types_error_at_the_draw(part, k, value, mes
 
 
 def test_nan_sums_give_a_nan_concurrence_that_fails_its_range():
-    x_sums = closedform._side_sums(0.1 * np.random.default_rng(6).random((2, 4)))
-    y_sums = (*x_sums[:2], complex(np.nan, 0.0), x_sums[3])
-    c, tau, slack = closedform._from_sums(x_sums, y_sums, 0.6, 0.8)
+    x_sums = closedform._side_sums(0.1 * np.random.default_rng(6).random((1, 2, 4)))
+    y_sums = (*x_sums[:2], np.array([complex(np.nan, 0.0)]), x_sums[3])
+    c, tau, slack = (v.item() for v in closedform._from_sums(x_sums, y_sums, 0.6, 0.8))
     assert np.isnan(c) and np.isnan(slack) and 0.0 < tau <= 1.0
     with pytest.raises(ValueError, match=r"^concurrence out of \[0,1\]: nan$"):
         EntanglementReport(c, tau, slack)

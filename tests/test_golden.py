@@ -1,7 +1,8 @@
 """Golden outputs of the CLI: `single`, `sweep` and `verify`, pinned byte for byte.
 
 The files under ``tests/golden/`` are the exact outputs of the commands in
-``CASES`` and ``SWEEPS``.  The complex-mode sweep, with ``|c3| != |c4|``,
+``CASES``, ``FAILING`` and ``SWEEPS``; a ``FAILING`` run exits 1, and its
+stderr is pinned next to its stdout.  The complex-mode sweep, with ``|c3| != |c4|``,
 pins the complex draw (moduli, then phase factors) and unequal weights.
 Two things are not compared as bytes:
 
@@ -12,7 +13,7 @@ Two things are not compared as bytes:
 
 A change that moves an output on purpose regenerates the files with
 ``PYTHONPATH=src python tests/test_golden.py [NAME ...]`` and names the lines
-that move.  NAME is a key of ``CASES`` or ``SWEEPS``; without one every file
+that move.  NAME is a key of ``CASES``, ``FAILING`` or ``SWEEPS``; without one every file
 is rewritten.  A ``single`` file keeps each stored oracle value that the new
 run reproduces within ``ORACLE_TOL``, so a regeneration moves no LAPACK digit
 by itself.
@@ -38,7 +39,15 @@ CASES = {
     "single_two_s100_seed7.json": ["single", "--two-s", "100", "--seed", "7", "--json"],
     "single_two_s2_seed3.txt": ["single", "--two-s", "2", "--seed", "3", "--text"],
     "single_two_s2_seed3.json": ["single", "--two-s", "2", "--seed", "3", "--json"],
+    "single_two_s7_seed5_complex.txt": ["single", "--two-s", "7", "--seed", "5", "--complex", "--text"],
+    "single_two_s7_seed5_complex.json": ["single", "--two-s", "7", "--seed", "5", "--complex", "--json"],
+    "verify_defaults.txt": ["verify"],
     "verify_two_s_max4_cases6.txt": ["verify", "--two-s-max", "4", "--cases", "6"],
+}
+
+# runs that exit 1: NAME -> arguments; stdout is pinned in NAME.txt, stderr in NAME.err
+FAILING = {
+    "verify_cases3_tol1e-30": ["verify", "--cases", "3", "--tol", "1e-30"],
 }
 
 # output directory under golden/ -> sweep arguments
@@ -113,6 +122,14 @@ def test_golden_stdout(name, capsys):
         _assert_text_matches(got, want)
 
 
+@pytest.mark.parametrize("name", sorted(FAILING))
+def test_golden_failing_run(name, capsys):
+    assert cli.main(FAILING[name]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (GOLDEN / f"{name}.txt").read_text()
+    assert captured.err == (GOLDEN / f"{name}.err").read_text()
+
+
 def _assert_sweep_matches(golden_dir, tmp_path, monkeypatch):
     monkeypatch.setenv(cli.WORKERS_ENV, "1")
     out = tmp_path / "r"
@@ -161,12 +178,12 @@ def _keep_oracle_lines(name: str, got: str, stored: str) -> str:
 
 
 def _regenerate(names=(), golden=GOLDEN):
-    """Rewrite the named files of CASES and directories of SWEEPS under ``golden``; all of them without names."""
+    """Rewrite the named files of CASES and FAILING and directories of SWEEPS under ``golden``; all without names."""
     import contextlib
     import io
     import tempfile
 
-    unknown = set(names) - set(CASES) - set(SWEEPS)
+    unknown = set(names) - set(CASES) - set(FAILING) - set(SWEEPS)
     if unknown:
         raise SystemExit(f"unknown golden names: {', '.join(sorted(unknown))}")
     golden.mkdir(exist_ok=True)
@@ -180,6 +197,14 @@ def _regenerate(names=(), golden=GOLDEN):
         if path.is_file():
             text = _keep_oracle_lines(name, text, path.read_text())
         path.write_text(text)
+    for name, argv in FAILING.items():
+        if names and name not in names:
+            continue
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert cli.main(argv) == 1
+        (golden / f"{name}.txt").write_text(out.getvalue())
+        (golden / f"{name}.err").write_text(err.getvalue())
     for golden_dir, argv in SWEEPS.items():
         if names and golden_dir not in names:
             continue

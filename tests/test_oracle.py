@@ -19,7 +19,7 @@ from spinshield.oracle import (
     wootters_concurrence,
 )
 from spinshield import model, oracle
-from util import BELL_C, bell_set, cxy, random_c, random_set, worked_example
+from util import BELL_C, bell_set, cxy, random_c, random_set, stacked_cxy, worked_example
 
 BELL_PROJECTOR = np.zeros((4, 4), dtype=complex)
 BELL_PROJECTOR[np.ix_([0, 3], [0, 3])] = 0.5
@@ -215,11 +215,11 @@ def test_separability_bell_uniform_projector():
     cs = bell_set(1)
     rho_m = reduce(assemble_state(*cxy(cs)), "M").entries
     np.testing.assert_allclose(rho_m, np.full((4, 4), 0.25), atol=1e-14)
-    assert separability_structure_check(cs, 1e-12)
+    assert separability_structure_check(*cxy(cs), 1e-12)
 
 
 def test_separability_worked_example_tight():
-    assert separability_structure_check(worked_example(), 1e-12)
+    assert separability_structure_check(*cxy(worked_example()), 1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -232,7 +232,7 @@ def test_separability_worked_example_tight():
 def test_separability_random_sets(seed, two_s_a, two_s_b, complex_mode):
     cs = random_set(seed, two_s_a, two_s_b, x_max=0.5,
                     c=random_c(seed + 9), complex_mode=complex_mode)
-    assert separability_structure_check(cs, 1e-10)
+    assert separability_structure_check(*cxy(cs), 1e-10)
 
 
 def _separability_residual(cs):
@@ -275,7 +275,7 @@ def test_separability_verdict_matches_the_materialized_residual():
             # by up to about 2 ulp of the largest entry; a residual that close
             # to tol may go either way
             if abs(residual - tol) > 4 * np.finfo(float).eps * scale:
-                assert separability_structure_check(cs, tol) == (residual <= tol)
+                assert separability_structure_check(*cxy(cs), tol) == (residual <= tol)
                 compared[tol] += 1
 
     check()
@@ -291,7 +291,7 @@ def test_separability_check_never_stores_the_apparatus_matrix():
     assert cs.dims.m_a * cs.dims.m_b == 1024
     tracemalloc.start()
     try:
-        assert separability_structure_check(cs, 1e-10)
+        assert separability_structure_check(*cxy(cs), 1e-10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -364,11 +364,11 @@ CS_289 = tuple(
 def test_separability_detects_a_perturbed_partial_trace(monkeypatch, scale, expected):
     tol = 1e-10
     for cs in CS_289:
-        assert separability_structure_check(cs, tol)
+        assert separability_structure_check(*cxy(cs), tol)
     # (0, 1) and (1, 0) lie in the upper and lower blocks of the first strip
     _inject(monkeypatch, _hermitian_bump(0, 1, scale * tol * np.exp(0.3j)))
     for cs in CS_289:
-        assert separability_structure_check(cs, tol) is expected
+        assert separability_structure_check(*cxy(cs), tol) is expected
 
 
 @pytest.mark.parametrize("scale, expected", [(10.0, False), (0.1, True)])
@@ -381,7 +381,7 @@ def test_separability_detects_a_bump_in_the_last_row_strip(monkeypatch, scale, e
     delta = scale * tol * np.exp(0.7j)
     for cs in CS_289:
         assert cs.dims.m_a * cs.dims.m_b == 289
-        assert separability_structure_check(cs, tol)
+        assert separability_structure_check(*cxy(cs), tol)
         for faults in (
             {(288, 288): scale * tol},
             _hermitian_bump(288, 287, delta),
@@ -390,7 +390,7 @@ def test_separability_detects_a_bump_in_the_last_row_strip(monkeypatch, scale, e
         ):
             with monkeypatch.context() as m:
                 _inject(m, faults)
-                assert separability_structure_check(cs, tol) is expected
+                assert separability_structure_check(*cxy(cs), tol) is expected
 
 
 def test_separability_fails_on_nan_in_partial_trace(monkeypatch):
@@ -399,7 +399,7 @@ def test_separability_fails_on_nan_in_partial_trace(monkeypatch):
     _inject(monkeypatch, {(100, 40): np.nan}, put=True)
     for cs in CS_289:
         with pytest.raises(ValueError, match="finite"):
-            separability_structure_check(cs, 1e-10)
+            separability_structure_check(*cxy(cs), 1e-10)
 
 
 @pytest.mark.parametrize("part, expected", [(0.8, False), (0.7, True)])
@@ -411,7 +411,7 @@ def test_separability_decides_a_bump_inside_the_band_exactly(monkeypatch, part, 
     tol = 1e-10
     _inject(monkeypatch, _hermitian_bump(200, 100, part * tol * (1 + 1j)))
     for cs in CS_289:
-        assert separability_structure_check(cs, tol) is expected
+        assert separability_structure_check(*cxy(cs), tol) is expected
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, -np.inf)])
@@ -425,7 +425,7 @@ def test_non_finite_entry_after_the_first_strip_fails_both_checks(monkeypatch, v
     _inject(monkeypatch, faults, put=True)
     for cs in CS_289:
         with pytest.raises(ValueError, match="finite"):
-            separability_structure_check(cs, 1e-10)
+            separability_structure_check(*cxy(cs), 1e-10)
 
 
 @pytest.mark.parametrize(
@@ -457,7 +457,7 @@ def test_separability_raises_the_density_matrix_error(monkeypatch, faults, messa
         with monkeypatch.context() as m:
             _inject(m, faults)
             with pytest.raises(ValueError) as raised:
-                separability_structure_check(cs, 1e-10)
+                separability_structure_check(*cxy(cs), 1e-10)
         assert str(raised.value) == str(expected.value)
 
 
@@ -485,7 +485,7 @@ def test_a_failing_strip_is_computed_once(monkeypatch):
             counts = _counting(m, "_product_strips")
             _inject(m, faults)
             with pytest.raises(ValueError, match="not Hermitian"):
-                separability_structure_check(cs, 1e-10)
+                separability_structure_check(*cxy(cs), 1e-10)
         assert counts == {"builds": 1, "strips": 4}
         entries = _faulty_rho_m(cs, faults)
         with monkeypatch.context() as m:
@@ -551,7 +551,7 @@ def test_stacked_read_outs_are_each_matrix_bit_for_bit():
 
 def test_stacked_states_and_reductions_are_each_state_bit_for_bit():
     sets = [random_set(seed, 3, x_max=0.5, c=random_c(seed)) for seed in range(12)]
-    c, x, y = model._stacked(sets)
+    c, x, y = stacked_cxy(sets)
     state = assemble_state(c, x, y)
     assert state.amp.shape == (12, 4, 4, 4)
     for keep in ("D", "Q1", "Q2", "M", "A", "B"):
@@ -565,7 +565,7 @@ def test_stacked_states_and_reductions_are_each_state_bit_for_bit():
         assert amp.tobytes() == assemble_state(*cxy(cs.scaled(t))).amp.tobytes()
     # one c broadcasts against the stack: bitwise each draw with its own c
     one_c = [dataclasses.replace(cs, c=sets[0].c) for cs in sets]
-    assert assemble_state(sets[0].c, x, y).amp.tobytes() == assemble_state(*model._stacked(one_c)).amp.tobytes()
+    assert assemble_state(sets[0].c, x, y).amp.tobytes() == assemble_state(*stacked_cxy(one_c)).amp.tobytes()
 
 
 def _bad(dim, kind, size=1.0):
@@ -701,7 +701,7 @@ def test_general_mode_four_level_state_is_well_formed():
     assert 0.0 <= c <= 1.0
     for keep in ("Q1", "Q2"):
         assert 0.0 <= one_tangle(reduce(state, keep)) <= 1.0
-    assert separability_structure_check(cs, 1e-10)
+    assert separability_structure_check(*cxy(cs), 1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 import numpy as np
 
+from spinshield import cli
 from spinshield.model import CoefficientSet, SpinDims, sample_coefficients
+from spinshield.sweep import trial_rng
 
 BELL_C = (0, 0, 1 / np.sqrt(2), 1 / np.sqrt(2))
 
@@ -28,6 +30,21 @@ def worked_example():
 def cxy(cs):
     """The (c, x, y) arrays of one CoefficientSet, as the oracle's array entry points take them."""
     return cs.c, cs.x, cs.y
+
+
+def stacked_cxy(sets):
+    """(c, x, y) of a sequence of CoefficientSets, stacked along a leading axis."""
+    return tuple(np.array([getattr(s, name) for s in sets]) for name in "cxy")
+
+
+def verify_case(master_seed, family_index, case, two_s_max):
+    """A verify family's draw for one case through sample_coefficients, the reference for verify's stacked draws."""
+    two_s, x_max = cli._case_point(case, two_s_max)
+    rng = trial_rng(master_seed, 1000 * family_index + two_s, case)
+    theta = rng.uniform(0.0, np.pi / 2.0)
+    phases = np.exp(2j * np.pi * rng.random(2))
+    c = (0j, 0j, np.cos(theta) * phases[0], np.sin(theta) * phases[1])
+    return sample_coefficients(SpinDims(two_s), x_max, x_max, c, rng)
 
 
 def random_set(seed, two_s_a, two_s_b=None, x_max=0.5, c=BELL_C, complex_mode=False):
