@@ -26,6 +26,7 @@ from .sweep import (
     MemoryBudgetError,
     SweepConfig,
     SweepPoint,
+    _batch_states,
     _Draws,
     _padded_xy,
     check_memory_budget,
@@ -317,14 +318,15 @@ def _case_point(case: int, two_s_max: int) -> tuple[int, float]:
     return 1 + (case - 1) % two_s_max, _VERIFY_X_MAXES[(case - 1) % len(_VERIFY_X_MAXES)]
 
 
-def _verify_draws(master_seed: int, family_index: int, two_s: int, cases: list, x_maxes: list) -> tuple:
-    """(c, x, y) of a family's cases at one two_s, stacked in case order.
+def _verify_draws(master_seed: int, family_index: int, two_s_max: int, cases: range) -> tuple:
+    """(c, x, y) of a family's cases, which share one two_s, stacked in case order.
 
     Each case's stream is read once: theta and the two phases of its device
     weights, then its unit rows through the sweep engine's draw, scaled by
     its x_max.  The arrays are bitwise those of
     sample_coefficients(SpinDims(two_s), x_max, x_max, c, rng).
     """
+    two_s = _case_point(cases[0], two_s_max)[0]
     draws = _Draws(two_s + 1, len(cases), complex_mode=False)
     c = np.zeros((len(cases), 4), np.complex128)
     for i, case in enumerate(cases):
@@ -333,7 +335,8 @@ def _verify_draws(master_seed: int, family_index: int, two_s: int, cases: list, 
         phases = np.exp(2j * np.pi * rng.random(2))
         c[i, 2:] = np.cos(theta) * phases[0], np.sin(theta) * phases[1]
         draws.draw(i, rng)
-    return (c, *_padded_xy(draws.unit, np.array(x_maxes)[:, None, None]))
+    x_maxes = np.array([_case_point(case, two_s_max)[1] for case in cases])
+    return (c, *_padded_xy(draws.unit, x_maxes[:, None, None]))
 
 
 # Each family checks stacked draws (c, x, y) against tol and gives one verdict
@@ -388,23 +391,18 @@ _VERIFY_CHECKS = {
     "quadratic-gap": _check_quadratic_gap,
 }
 
-# cases a family draws and checks at once, one stack per two_s: with
-# two_s_max = 63 a chunk of 1024 holds about 16 draws at each two_s, whose
-# amplitude tensors take 4.2 MB
-_VERIFY_STACK = 1024
-
 
 def _verify_chunk(args, family_index: int, check, cases: range) -> dict:
     """{case: verdict} of a chunk of a family's cases: True, False, or the error the case raises alone.
 
-    The cases at each two_s are one stack, checked at once; oracle.per_entry
-    gives each case of a stack that raises its own verdict or error.
+    A chunk is whole rounds of two_s_max cases, so the cases at each two_s
+    are a range, one stack checked at once; oracle.per_entry gives each
+    case of a stack that raises its own verdict or error.
     """
-    points = {case: _case_point(case, args.two_s_max) for case in cases}
     verdicts = {}
-    for two_s in dict.fromkeys(two_s for two_s, _ in points.values()):
-        group = [case for case in cases if points[case][0] == two_s]
-        c, x, y = _verify_draws(args.seed, family_index, two_s, group, [points[case][1] for case in group])
+    for two_s in range(1, min(args.two_s_max, len(cases)) + 1):
+        group = cases[two_s - 1::args.two_s_max]
+        c, x, y = _verify_draws(args.seed, family_index, args.two_s_max, group)
         ok = np.zeros(len(group), dtype=bool)
 
         def run(idx):
@@ -425,11 +423,13 @@ def cmd_verify(args) -> int:
         raise UsageError("--tol must be positive and finite")
 
     all_pass = True
+    # a stack holds one case a round: a chunk has as many rounds as states at two_s_max fit the budget
+    chunk = args.two_s_max * _batch_states(args.two_s_max + 1, args.two_s_max + 1)
     # the family's position seeds its cases, so the table's order is part of the output
     for family_index, (family, check) in enumerate(_VERIFY_CHECKS.items()):
         passed = 0
-        for first in range(1, args.cases + 1, _VERIFY_STACK):
-            cases = range(first, min(first + _VERIFY_STACK, args.cases + 1))
+        for first in range(1, args.cases + 1, chunk):
+            cases = range(first, min(first + chunk, args.cases + 1))
             for case, verdict in sorted(_verify_chunk(args, family_index, check, cases).items()):
                 if verdict is True:
                     passed += 1

@@ -290,8 +290,13 @@ def assemble_state(c, x, y) -> PureState:
     return PureState(dims, amp)
 
 
-def _partial_trace(state: PureState, keep: str) -> np.ndarray:
-    """The frozen entries of :func:`reduce`, unchecked, with the state's stack axes."""
+def reduce(state: PureState, keep: str) -> DensityMatrix:
+    """Partial trace onto one subsystem, of each state of a stack.
+
+    ``keep`` selects the factor: "D" (both qubits, in the product basis
+    |00>, |01>, |10>, |11>), "Q1" or "Q2" (single qubit), "M" (both
+    apparatus spins, second index fastest), "A" or "B" (one spin).
+    """
     kept = _KEPT_AXES.get(keep)
     if kept is None:
         raise ValueError(f"unknown subsystem selector {keep!r}")
@@ -305,17 +310,6 @@ def _partial_trace(state: PureState, keep: str) -> np.ndarray:
     rho = k @ k.conj().swapaxes(-1, -2)
     # frozen, so DensityMatrix adopts it without a copy
     rho.setflags(write=False)
-    return rho
-
-
-def reduce(state: PureState, keep: str) -> DensityMatrix:
-    """Partial trace onto one subsystem, of each state of a stack.
-
-    ``keep`` selects the factor: "D" (both qubits, in the product basis
-    |00>, |01>, |10>, |11>), "Q1" or "Q2" (single qubit), "M" (both
-    apparatus spins, second index fastest), "A" or "B" (one spin).
-    """
-    rho = _partial_trace(state, keep)
     return DensityMatrix(rho.shape[-1], rho)
 
 

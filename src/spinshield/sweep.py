@@ -104,6 +104,11 @@ def _batch_trials(dims: SpinDims) -> int:
     return max(1, _BATCH_BYTES // _draw_bytes(dims))
 
 
+def _batch_states(m_a: int, m_b: int) -> int:
+    """Dense m_a x m_b states (64 m_a m_b bytes each) that fit _BATCH_BYTES, at least one: an oracle stack."""
+    return max(1, _BATCH_BYTES // (64 * m_a * m_b))
+
+
 def trial_peak_bytes(dims: SpinDims) -> int:
     """Upper bound on the bytes a sweep worker holds at once: one batch of trials at ``dims``.
 
@@ -301,12 +306,12 @@ def _crosscheck(config: SweepConfig, bounds: list, first: int, unit: np.ndarray,
     ``unit`` (trials, 4, m) holds the unit rows x3, x4, y3, y4 the engine
     drew for trials first, first + 1, ..., and ``rows`` (n, trials, 3) its
     results for the n of ``bounds``.  For each n the oracle runs once on the
-    unit rows scaled by its bound (_padded_xy), a chunk of trials whose
-    states take at most _BATCH_BYTES at a time.  The first is the one a pass
-    over the trials in order, and over the n within each, would meet first.
+    unit rows scaled by its bound (_padded_xy), a chunk of _batch_states
+    trials at a time.  The first is the one a pass over the trials in order,
+    and over the n within each, would meet first.
     """
     c, m = np.array(config.c), unit.shape[-1]
-    chunk = max(1, _BATCH_BYTES // (64 * m * m))  # a state is 4 m^2 complex128
+    chunk = _batch_states(m, m)
     for lo in range(0, len(unit), chunk):
         part = unit[lo:lo + chunk]
         k = len(part)

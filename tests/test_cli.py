@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinshield import cli, oracle
+from spinshield import cli, oracle, sweep
 from spinshield.cli import CSV_HEADER, fnv1a64, main
 from spinshield.sweep import SweepConfig, run_sweep
 from util import verify_case
@@ -605,25 +605,27 @@ def test_verify_fails_only_the_case_whose_oracle_run_fails(capsys, monkeypatch, 
 
 
 def test_verify_draws_each_case_once_as_sample_coefficients_does(monkeypatch):
-    # in chunks of 5 cases at two_s_max 2, the cases of two_s 2 (2, 4, 6, 8,
-    # 10 and 12) straddle both chunk boundaries, and the cases of a stack
-    # cycle through the three x_max.  Every family reads each case's stream
-    # once, and its stacked draw is bitwise sample_coefficients' draw
-    monkeypatch.setattr(cli, "_VERIFY_STACK", 5)
+    # a budget of two states at two_s_max 2 (m = 3) makes chunks of 2 rounds,
+    # 4 cases, so 12 cases take 3 chunks, and the cases of a stack cycle
+    # through the three x_max.  Every family reads each case's stream once,
+    # and its stacked draw is bitwise sample_coefficients' draw
+    monkeypatch.setattr(sweep, "_BATCH_BYTES", 2 * 64 * 9)
     reads = collections.Counter()
     rng = cli.trial_rng
     monkeypatch.setattr(cli, "trial_rng", lambda *key: reads.update([key]) or rng(*key))
     draw, calls, drawn = cli._verify_draws, [], []
 
-    def recording(master_seed, family_index, two_s, cases, x_maxes):
-        c, x, y = draw(master_seed, family_index, two_s, cases, x_maxes)
-        calls.append((family_index, two_s, list(cases)))
+    def recording(master_seed, family_index, two_s_max, cases):
+        c, x, y = draw(master_seed, family_index, two_s_max, cases)
+        two_s = {cli._case_point(case, two_s_max)[0] for case in cases}
+        assert len(two_s) == 1
+        calls.append((family_index, two_s.pop(), list(cases)))
         drawn.extend(((family_index, case), (c[i], x[i], y[i])) for i, case in enumerate(cases))
         return c, x, y
 
     monkeypatch.setattr(cli, "_verify_draws", recording)
     assert run_cli(["verify", "--cases", "12", "--two-s-max", "2", "--seed", "4"]) == 0
-    groups = [(1, [1, 3, 5]), (2, [2, 4]), (2, [6, 8, 10]), (1, [7, 9]), (1, [11]), (2, [12])]
+    groups = [(1, [1, 3]), (2, [2, 4]), (1, [5, 7]), (2, [6, 8]), (1, [9, 11]), (2, [10, 12])]
     assert calls == [(f, two_s, cases) for f in range(6) for two_s, cases in groups]
     assert reads == {(4, 1000 * f + 1 + (case - 1) % 2, case): 1 for f in range(6) for case in range(1, 13)}
     for (family_index, case), arrays in drawn:
@@ -631,6 +633,66 @@ def test_verify_draws_each_case_once_as_sample_coefficients_does(monkeypatch):
         for got, want in zip(arrays, (ref.c, ref.x, ref.y)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes(), (family_index, case)
+
+
+def _verify_outputs(argv, capsys):
+    code = run_cli(["verify", *argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["--two-s-max", "5", "--cases", "40", "--seed", "3"], None),
+        (["--two-s-max", "5", "--cases", "40", "--seed", "3", "--tol", "1e-30"], None),
+        (["--cases", "3", "--tol", "1e-30"], "verify_cases3_tol1e-30"),
+    ],
+    ids=["passing", "failing", "golden"],
+)
+def test_verify_output_does_not_depend_on_the_byte_budget(capsys, monkeypatch, argv, golden):
+    # chunks of 1 and 3 rounds cut the cases into other chunks and stacks
+    # than the default budget's one chunk; every verdict, FAIL line and the
+    # exit code stay the same
+    default = _verify_outputs(argv, capsys)
+    if golden:
+        golden = Path(__file__).parent / "golden" / golden
+        assert default == (1, golden.with_suffix(".txt").read_text(), golden.with_suffix(".err").read_text())
+    two_s_max = int(argv[argv.index("--two-s-max") + 1]) if "--two-s-max" in argv else 8
+    for rounds in (1, 3):
+        monkeypatch.setattr(sweep, "_BATCH_BYTES", rounds * 64 * (two_s_max + 1) ** 2)
+        assert _verify_outputs(argv, capsys) == default, rounds
+
+
+def _record_stacks(monkeypatch):
+    """Stack sizes of the states oracle.assemble_state builds; a lone draw's is 1."""
+    sizes, assemble_state = [], oracle.assemble_state
+
+    def recording(c, x, y):
+        sizes.append(int(np.prod(x.shape[:-2])))
+        return assemble_state(c, x, y)
+
+    monkeypatch.setattr(oracle, "assemble_state", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("two_s_max, cases, largest", [(63, 200, 4), (1, 3000, 3000)])
+def test_verify_stacks_stay_within_the_state_budget(monkeypatch, two_s_max, cases, largest):
+    # a stack of one two_s holds a case of each round in its chunk, and a
+    # chunk as many rounds as states at two_s_max fit the byte budget
+    sizes = _record_stacks(monkeypatch)
+    assert run_cli(["verify", "--two-s-max", str(two_s_max), "--cases", str(cases)]) == 0
+    assert max(sizes) == largest <= sweep._batch_states(two_s_max + 1, two_s_max + 1)
+
+
+def test_crosscheck_walks_chunks_of_the_state_budget(monkeypatch):
+    # at two_s = 63 (m_a m_b = 4096) 16 states fill the budget, so the 40
+    # trials of one batch take chunks of 16, 16 and 8 for each n
+    sizes = _record_stacks(monkeypatch)
+    config = SweepConfig(two_s_values=(63,), n_values=(1, 2), trials=40, oracle_crosscheck_max_dim=4096)
+    run_sweep(config, workers=1)
+    assert sweep._batch_states(64, 64) == 16
+    assert sizes == [16, 16, 16, 16, 8, 8]
 
 
 def test_verify_two_s_max_gate():
