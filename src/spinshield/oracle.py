@@ -7,9 +7,9 @@ matrices.  The dense route is gated to apparatus dimensions
 ``m_a * m_b <= 4096``; it exists to validate the closed forms, which are the
 ones that scale.  :func:`reduce` materializes the matrix it returns; the
 apparatus check forms the m_a m_b x m_a m_b matrix of the two spins one
-32-row strip at a time and never stores it.  States, density matrices and
-the read-outs take a leading stack axis; :func:`per_entry` tells which
-entries of a stack fail, each with the error it raises alone.
+32-row strip at a time and never stores it.  Every entry point takes a
+leading stack axis; :func:`per_entry` tells which entries of a stack fail,
+each with the error it raises alone.
 """
 
 from __future__ import annotations
@@ -41,15 +41,7 @@ _DEVICE_ROW_FOR_PRODUCT = np.array([2, 0, 1, 3])
 # (q1, q2, a, b); reduce traces out the others.
 _KEPT_AXES = {"D": (0, 1), "Q1": (0,), "Q2": (1,), "M": (2, 3), "A": (2,), "B": (3,)}
 
-_SIGMA_YY = np.array(
-    [
-        [0, 0, 0, -1],
-        [0, 0, 1, 0],
-        [0, 1, 0, 0],
-        [-1, 0, 0, 0],
-    ],
-    dtype=np.float64,
-)
+_SIGMA_YY = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=np.float64)
 
 
 def per_entry(run, size: int) -> dict:
@@ -128,56 +120,56 @@ def _matrix_strips(e: np.ndarray):
 
 
 def _factors(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real factors left (n, 2, 3r) and right (3r, n) of p q^H, for complex p, q (n, r), in two inner orders.
+    """Real factors left (s, n, 2, 3r), right (s, 3r, n) of p q^H, for complex p, q (s, n, r), in two inner orders.
 
-    With p = a + ib and q = c + id, left[s, :, o:o + 2r] @ right[o:o + 2r, t]
-    holds Re (p q^H)[s, t] = [a b]_s . [c d]_t and Im (p q^H)[s, t] =
-    [b -a]_s . [c d]_t for o = 0: one real product of inner dimension 2r,
-    its rows interleaving the parts.  For o = r it takes the same sums with
-    the halves of the inner dimension the other way round.
+    With p = a + ib and q = c + id, left[:, j, :, o:o + 2r] @ right[:, o:o + 2r, t]
+    holds Re (p q^H)[j, t] = [a b]_j . [c d]_t and Im (p q^H)[j, t] =
+    [b -a]_j . [c d]_t for o = 0: one real product of inner dimension 2r
+    per matrix, rows interleaving the parts.  For o = r it takes the same
+    sums with the halves of the inner dimension the other way round.
     """
-    n, r = p.shape
-    left = np.empty((n, 2, 3, r))
-    left[:, 0, 0] = left[:, 0, 2] = p.real
-    left[:, 1, 0] = left[:, 1, 2] = left[:, 0, 1] = p.imag
-    np.negative(p.real, out=left[:, 1, 1])
-    right = np.empty((3, r, n))
-    right[0] = right[2] = q.real.T
-    right[1] = q.imag.T
-    return left.reshape(n, 2, 3 * r), right.reshape(3 * r, n)
+    s, n, r = p.shape
+    left = np.empty((s, n, 2, 3, r))
+    left[:, :, 0, 0] = left[:, :, 0, 2] = p.real
+    left[:, :, 1, 0] = left[:, :, 1, 2] = left[:, :, 0, 1] = p.imag
+    np.negative(p.real, out=left[:, :, 1, 1])
+    right = np.empty((s, 3, r, n))
+    right[:, 0] = right[:, 2] = q.real.swapaxes(1, 2)
+    right[:, 1] = q.imag.swapaxes(1, 2)
+    return left.reshape(s, n, 2, 3 * r), right.reshape(s, 3 * r, n)
 
 
 def _product_strips(k: np.ndarray, w: np.ndarray):
-    """(i, upper, lower, residual) for each 32-row strip of rho = k k^H, never storing rho.
+    """(i, upper, lower, residual) for each 32-row strip of a stack of rho = k k^H, k (s, n, r), never storing rho.
 
-    ``upper`` and ``lower`` are the (1, h, 2, n - i) blocks of
-    :func:`_matrix_strips`, each one real BLAS product (:func:`_factors`):
-    the lower block of a Hermitian matrix is the upper one's sums taken in
-    the other inner order, so no pass reads a transposed block and the
-    Hermiticity test still compares two computations.  ``residual()``
-    writes the two blocks of rho - w w^H over them, each one product of the
-    signed, augmented factors [k | w] and [k | -w], and returns them
-    (2, h, 2, n - i).  The next strip reuses the buffer, so the caller may
-    overwrite it.
+    ``upper`` and ``lower`` are the (s, h, 2, n - i) blocks of
+    :func:`_matrix_strips`, each one real BLAS product per matrix
+    (:func:`_factors`): the lower block of a Hermitian matrix is the upper
+    one's sums taken in the other inner order, so no pass reads a
+    transposed block and the Hermiticity test still compares two
+    computations.  ``residual()`` writes the blocks of rho - w w^H, one
+    product each of [k | w] and [k | -w], in place over them, upper blocks
+    first (2s, h, 2, n - i), and returns them.  The next strip reuses the
+    buffer, so the caller may overwrite it.
     """
-    n = k.shape[0]
-    rho, residual = _factors(k, k), _factors(np.hstack([k, w]), np.hstack([k, -w]))
-    buf = np.empty((2, 2 * min(n, _STRIP) * n))
+    s, n = k.shape[:2]
+    rho, residual = _factors(k, k), _factors(np.concatenate([k, w], axis=2), np.concatenate([k, -w], axis=2))
+    buf = np.empty(2 * s * 2 * min(n, _STRIP) * n)
 
     def products(left, right, i, h):
-        blocks = buf[:, :2 * h * (n - i)].reshape(2, 2 * h, n - i)
-        r = right.shape[0] // 3
+        blocks = buf[:2 * s * 2 * h * (n - i)].reshape(2, s, 2 * h, n - i)
+        r = right.shape[1] // 3
         for o, out in zip((0, r), blocks):
-            np.matmul(left[i:i + h, :, o:o + 2 * r].reshape(2 * h, -1), right[o:o + 2 * r, i:], out=out)
-        return blocks.reshape(2, h, 2, n - i)
+            np.matmul(left[:, i:i + h, :, o:o + 2 * r].reshape(s, 2 * h, -1), right[:, o:o + 2 * r, i:], out=out)
+        return blocks.reshape(2 * s, h, 2, n - i)
 
     for i in range(0, n, _STRIP):
         h = min(_STRIP, n - i)
         blocks = products(*rho, i, h)
-        yield i, blocks[:1], blocks[1:], lambda i=i, h=h: products(*residual, i, h)
+        yield i, blocks[:s], blocks[s:], lambda i=i, h=h: products(*residual, i, h)
 
 
-def _checked_strips(strips, n: int, size: int = 1):
+def _checked_strips(strips, n: int, size: int):
     """Walk the strips of a stack of ``size`` n x n matrices once, yielding each as DensityMatrix's checks pass on it.
 
     A strip is (i, upper, lower, ...) with the blocks of :func:`_matrix_strips`.
@@ -281,9 +273,7 @@ def assemble_state(c, x, y) -> PureState:
     dims = SpinDims(x.shape[-1] - 1, y.shape[-1] - 1)
     mm = dims.m_a * dims.m_b
     if mm > ORACLE_MAX_DIM:
-        raise ValueError(
-            f"dense oracle is gated to m_a*m_b <= {ORACLE_MAX_DIM}, got {mm}"
-        )
+        raise ValueError(f"dense oracle is gated to m_a*m_b <= {ORACLE_MAX_DIM}, got {mm}")
     n = normalization(c, x, y)
     amp = (c / np.asarray(n)[..., None])[..., None, None] * (1.0 + x)[..., None] * (1.0 + y)[..., None, :]
     amp.setflags(write=False)
@@ -355,32 +345,41 @@ def one_tangle(rho: DensityMatrix):
     return _clamp_unit(4.0 * det)
 
 
-def separability_structure_check(c, x, y, tol: float = 1e-10) -> bool:
-    """Confirm the apparatus state of one draw is an explicit mixture of product states.
+def separability_structure_check(c, x, y, tol: float = 1e-10):
+    """Whether the apparatus state of each stacked draw is an explicit mixture of product states.
 
-    ``c`` (4,), ``x`` (4, m_a) and ``y`` (4, m_b) are the draw's arrays, as
-    :func:`assemble_state` takes them.  The reduced matrix of the two spins
-    is rebuilt as sum_d p_d |a_d><a_d| (x) |b_d><b_d| with |a_d>
-    proportional to the (1 + x[d]) column, |b_d> likewise, and
-    p_d = |c_d|^2 X_d Y_d / N^2.  Returns True iff it matches the partial
-    trace entrywise within ``tol``.
+    ``c``, ``x`` and ``y`` are one draw's arrays or a stack, as
+    :func:`assemble_state` takes them; the verdict is a bool, or an array
+    shaped as the stack.  The matrix of the two spins, rho_M = K K^H (K: the
+    state's nonzero device rows as columns), must match W W^H entrywise
+    within ``tol``: column d of W is sqrt(p_d) |a_d> (x) |b_d>, with |a_d>
+    the normalized (1 + x[d]) column, |b_d> likewise, p_d = |c_d|^2 X_d Y_d / N^2.
 
-    With rho_M = K K^H (K: the state's nonzero device rows as columns) and
-    W W^H (column d of W: sqrt(p_d) |a_d> (x) |b_d>), one pass over 32-row
-    strips of rho_M stores no m_a m_b x m_a m_b matrix: each strip passes
-    DensityMatrix's checks (or raises its error), then the residual is
-    decided exactly by its parts on both blocks, until a strip fails it.
+    One pass over the strips of :func:`_product_strips` stores no m_a m_b x
+    m_a m_b matrix: each strip passes DensityMatrix's checks (or raises its
+    error), then, while any draw passes, the residuals are decided exactly
+    by their parts.  A pass takes one draw, or 32 // (m_a m_b) whole ones,
+    so each draw gets the strips and products it gets alone; K and W hold
+    the rows and levels any draw of a pass populates, zero where one has none.
     """
-    amp = assemble_state(c, x, y).amp.reshape(4, -1)
-    k = amp[amp.any(axis=1)].T
-    w, xs, ys, n_sq = _level_sums(c, x, y)
-    live = w != 0.0
-    a = (1.0 + x[live]) / np.sqrt(xs[live])[:, None]
-    b = (1.0 + y[live]) / np.sqrt(ys[live])[:, None]
-    # column d: sqrt(p_d) times the Kronecker product of a_d and b_d
-    factor = np.sqrt(w[live] * xs[live] * ys[live] / n_sq)[:, None, None] * (a[:, :, None] * b[:, None, :])
-    separable = True
-    with np.errstate(over="ignore", invalid="ignore"):
-        for *_, residual in _checked_strips(_product_strips(k, factor.reshape(len(a), -1).T), k.shape[0]):
-            separable = separable and bool(_within_tol(residual(), tol).all())
-    return separable
+    lead = x.shape[:-2]
+    c, x, y = (a.reshape(-1, *a.shape[len(lead):]) for a in (np.broadcast_to(c, lead + (4,)), x, y))
+    ok = np.ones(len(x), dtype=bool)
+    group = max(1, _STRIP // (x.shape[-1] * y.shape[-1]))
+    for g in (slice(i, i + group) for i in range(0, len(x), group)):
+        amp = assemble_state(c[g], x[g], y[g]).amp.reshape(len(ok[g]), 4, -1)
+        k = amp[:, amp.any(axis=(0, 2))].swapaxes(1, 2)
+        w, xs, ys, n_sq = _level_sums(c[g], x[g], y[g])
+        levels = (w != 0.0).any(axis=0)
+        # X = Y = 1 where a draw leaves a level empty, so its p_d is 0
+        xs, ys = (np.where(w != 0.0, sums, 1.0)[:, levels, None] for sums in (xs, ys))
+        a, b = (1.0 + x[g, levels]) / np.sqrt(xs), (1.0 + y[g, levels]) / np.sqrt(ys)
+        # column d: sqrt(p_d) times the Kronecker product of a_d and b_d
+        scale = np.sqrt(w[:, levels, None] * xs * ys / n_sq[:, None, None])[..., None]
+        factor = (scale * (a[..., None] * b[..., None, :])).reshape(*a.shape[:2], -1).swapaxes(1, 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for *_, residual in _checked_strips(_product_strips(k, factor), k.shape[1], len(k)):
+                if ok[g].any():
+                    ok[g] &= _within_tol(residual(), tol).reshape(2, -1).all(axis=0)
+        del amp, k, factor, _, residual  # the next pass must not hold this one's arrays too
+    return ok.reshape(lead) if lead else bool(ok[0])

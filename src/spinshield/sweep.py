@@ -105,8 +105,12 @@ def _batch_trials(dims: SpinDims) -> int:
 
 
 def _batch_states(m_a: int, m_b: int) -> int:
-    """Dense m_a x m_b states (64 m_a m_b bytes each) that fit _BATCH_BYTES, at least one: an oracle stack."""
-    return max(1, _BATCH_BYTES // (64 * m_a * m_b))
+    """Cases of a dense m_a x m_b stack that fit _BATCH_BYTES, at least one: crosscheck chunks, verify rounds.
+
+    A case holds up to 256 m_a m_b + 128 (m_a + m_b) + 1024 bytes at once, the most tracemalloc sees a case of
+    any verify family take: four state tensors, eight complex rows of each spin and 1 KiB of small matrices.
+    """
+    return max(1, _BATCH_BYTES // (256 * m_a * m_b + 128 * (m_a + m_b) + 1024))
 
 
 def trial_peak_bytes(dims: SpinDims) -> int:

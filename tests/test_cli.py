@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -559,7 +560,7 @@ def test_verify_fails_only_the_case_whose_oracle_run_fails(capsys, monkeypatch, 
     # while its group-mates 2 and 8 pass.  Case 5 fails with the error of its
     # lone run: the oracle's where both refuse it, since the family runs the
     # oracle first, and for the closed forms the error evaluate raises
-    target = verify_case(0, list(cli._VERIFY_CHECKS).index("oracle-concurrence"), 5, 3)
+    target = verify_case(0, list(cli._verify_checks()).index("oracle-concurrence"), 5, 3)
     rho = oracle.reduce(oracle.assemble_state(target.c, target.x, target.y), "D").entries.tobytes()
     rows = target.x[2:4].real.tobytes()
     side_sums, assemble_state, wootters_concurrence = (
@@ -604,12 +605,23 @@ def test_verify_fails_only_the_case_whose_oracle_run_fails(capsys, monkeypatch, 
     ]
 
 
+def _case_bytes(m_a, m_b):
+    """The bytes sweep._batch_states counts for one case of an m_a x m_b stack."""
+    return 256 * m_a * m_b + 128 * (m_a + m_b) + 1024
+
+
+@pytest.mark.parametrize("m_a, m_b, cases", [(2, 2, 1638), (2, 3, 1310), (3, 3, 1024), (33, 33, 14), (64, 64, 3)])
+def test_batch_states_counts_what_a_case_holds(m_a, m_b, cases):
+    # four state tensors, eight complex rows of each spin and 1 KiB a case
+    assert sweep._batch_states(m_a, m_b) == sweep._BATCH_BYTES // _case_bytes(m_a, m_b) == cases
+
+
 def test_verify_draws_each_case_once_as_sample_coefficients_does(monkeypatch):
-    # a budget of two states at two_s_max 2 (m = 3) makes chunks of 2 rounds,
+    # a budget of two cases at two_s_max 2 (m = 3) makes chunks of 2 rounds,
     # 4 cases, so 12 cases take 3 chunks, and the cases of a stack cycle
     # through the three x_max.  Every family reads each case's stream once,
     # and its stacked draw is bitwise sample_coefficients' draw
-    monkeypatch.setattr(sweep, "_BATCH_BYTES", 2 * 64 * 9)
+    monkeypatch.setattr(sweep, "_BATCH_BYTES", 2 * _case_bytes(3, 3))
     reads = collections.Counter()
     rng = cli.trial_rng
     monkeypatch.setattr(cli, "trial_rng", lambda *key: reads.update([key]) or rng(*key))
@@ -660,7 +672,7 @@ def test_verify_output_does_not_depend_on_the_byte_budget(capsys, monkeypatch, a
         assert default == (1, golden.with_suffix(".txt").read_text(), golden.with_suffix(".err").read_text())
     two_s_max = int(argv[argv.index("--two-s-max") + 1]) if "--two-s-max" in argv else 8
     for rounds in (1, 3):
-        monkeypatch.setattr(sweep, "_BATCH_BYTES", rounds * 64 * (two_s_max + 1) ** 2)
+        monkeypatch.setattr(sweep, "_BATCH_BYTES", rounds * _case_bytes(two_s_max + 1, two_s_max + 1))
         assert _verify_outputs(argv, capsys) == default, rounds
 
 
@@ -676,23 +688,61 @@ def _record_stacks(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("two_s_max, cases, largest", [(63, 200, 4), (1, 3000, 3000)])
+@pytest.mark.parametrize("two_s_max, cases, largest", [(63, 200, 3), (1, 3000, 1638)])
 def test_verify_stacks_stay_within_the_state_budget(monkeypatch, two_s_max, cases, largest):
     # a stack of one two_s holds a case of each round in its chunk, and a
-    # chunk as many rounds as states at two_s_max fit the byte budget
+    # chunk as many rounds as cases at two_s_max fit the byte budget
     sizes = _record_stacks(monkeypatch)
     assert run_cli(["verify", "--two-s-max", str(two_s_max), "--cases", str(cases)]) == 0
     assert max(sizes) == largest <= sweep._batch_states(two_s_max + 1, two_s_max + 1)
 
 
 def test_crosscheck_walks_chunks_of_the_state_budget(monkeypatch):
-    # at two_s = 63 (m_a m_b = 4096) 16 states fill the budget, so the 40
-    # trials of one batch take chunks of 16, 16 and 8 for each n
+    # at two_s = 63 (m_a m_b = 4096) 3 cases fill the budget, so the 40
+    # trials of one batch take 13 chunks of 3 and one of 1 for each n
     sizes = _record_stacks(monkeypatch)
     config = SweepConfig(two_s_values=(63,), n_values=(1, 2), trials=40, oracle_crosscheck_max_dim=4096)
     run_sweep(config, workers=1)
-    assert sweep._batch_states(64, 64) == 16
-    assert sizes == [16, 16, 16, 16, 8, 8]
+    assert sweep._batch_states(64, 64) == 3
+    assert sizes == [3, 3] * 13 + [1, 1]
+
+
+def _traced_peak(argv, capsys):
+    """The peak bytes tracemalloc sees during one in-process spinshield run, and its exit code."""
+    tracemalloc.start()
+    try:
+        code = run_cli(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    return peak, code
+
+
+@pytest.mark.parametrize("two_s_max, cases, seed", [(1, 4000, 2), (5, 2500, 3)])
+def test_verify_peak_stays_within_twice_the_byte_budget(capsys, two_s_max, cases, seed):
+    # stacks of up to 1,638 and 356 cases, each within the budget.  Counted at
+    # 64 bytes a state, the 4,000 cases of two_s = 1 were one stack, which
+    # peaked at 10.2 MB (20,000 cases, stacks of 16,384, at 38.4 MB)
+    peak, code = _traced_peak(["verify", "--two-s-max", str(two_s_max), "--cases", str(cases),
+                               "--seed", str(seed)], capsys)
+    assert code == 0
+    assert peak <= 2 * sweep._BATCH_BYTES, peak
+
+
+@pytest.mark.parametrize("two_s_max, cases", [(32, 64), (63, 126)])
+def test_verify_peak_at_large_spins_is_that_of_one_draw_at_a_time(capsys, monkeypatch, two_s_max, cases):
+    # above m_a m_b = 16 a separability pass takes one draw, so the run peaks
+    # as one that checks the family's draws one at a time does
+    argv = ["verify", "--two-s-max", str(two_s_max), "--cases", str(cases)]
+    check = oracle.separability_structure_check
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "separability_structure_check",
+                  lambda c, x, y, tol: np.array([check(*draw, tol) for draw in zip(c, x, y)]))
+        one_by_one, _ = _traced_peak(argv, capsys)
+    stacked, code = _traced_peak(argv, capsys)
+    assert code == 0
+    assert stacked <= one_by_one, (stacked, one_by_one)
 
 
 def test_verify_two_s_max_gate():

@@ -1,4 +1,7 @@
+import collections
 import dataclasses
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -318,22 +321,33 @@ def _apply_parts(block, i, faults, put, lower):
             part[:] = new.real, new.imag
 
 
-def _inject(monkeypatch, faults, put=False):
+def _factor_k(cs):
+    """K of a draw as the separability pass forms it: the state's nonzero device rows as columns."""
+    amp = assemble_state(*cxy(cs)).amp.reshape(4, -1)
+    return amp[amp.any(axis=1)].T
+
+
+def _inject(monkeypatch, faults, put=False, target=None):
     """Give the separability pass strips of rho_M that carry the faults in every block holding them.
 
-    The residual rho_M - W W^H carries them too, as it would if rho_M held them.
+    The residual rho_M - W W^H carries them too, as it would if rho_M held
+    them.  With a target draw, only the matrices of a stack whose K is the
+    target's carry them.
     """
     product_strips = oracle._product_strips
 
     def faulty_strips(k, w):
+        hit = [j for j in range(len(k)) if target is None or np.array_equal(k[j], _factor_k(target))]
         for i, upper, lower, residual in product_strips(k, w):
-            _apply_parts(upper, i, faults, put, False)
-            _apply_parts(lower, i, faults, put, True)
+            for j in hit:
+                _apply_parts(upper[j:j + 1], i, faults, put, False)
+                _apply_parts(lower[j:j + 1], i, faults, put, True)
 
             def faulty_residual(i=i, residual=residual):
                 blocks = residual()
-                _apply_parts(blocks[:1], i, faults, put, False)
-                _apply_parts(blocks[1:], i, faults, put, True)
+                for j in hit:
+                    _apply_parts(blocks[j:j + 1], i, faults, put, False)
+                    _apply_parts(blocks[len(k) + j:len(k) + j + 1], i, faults, put, True)
                 return blocks
 
             yield i, upper, lower, faulty_residual
@@ -428,26 +442,28 @@ def test_non_finite_entry_after_the_first_strip_fails_both_checks(monkeypatch, v
             separability_structure_check(*cxy(cs), 1e-10)
 
 
-@pytest.mark.parametrize(
-    "faults, message",
-    [
-        ({(200, 100): 1e-9}, "not Hermitian"),
-        ({(150, 160): 1e-9j, (160, 150): 1e-9j}, "not Hermitian"),
-        ({(5, 5): 1e-11}, "trace deviates"),
-        # a residual failure in the first strip does not hide a later one
-        ({(0, 1): 1e-6, (1, 0): 1e-6, (288, 288): 1e-11}, "trace deviates"),
-        # the first failing strip words the error: its deviation, not a later one's
-        ({(0, 1): 1e-9, (100, 110): 1e-6}, "from row 0"),
-        ({(0, 1): 1e-9, (100, 110): np.nan}, "not Hermitian"),
-        # finite partners whose difference overflows: not Hermitian, and no
-        # RuntimeWarning first
-        ({(100, 200): 1.7e308, (200, 100): -1.7e308}, "not Hermitian .max deviation inf in the strip from row 96"),
-        # (200, 100) lies in the lower block of the fourth strip only: a fault
-        # in only the imaginary part of the entry, then in only its real part
-        ({(200, 100): 3e-9j}, r"^matrix is not Hermitian \(max deviation 3\.000e-09 in the strip from row 96\)$"),
-        ({(200, 100): -2e-9}, r"^matrix is not Hermitian \(max deviation 2\.000e-09 in the strip from row 96\)$"),
-    ],
-)
+# The separability pass's fault catalogue at m_a m_b = 289: faults of rho_M
+# and the error that DensityMatrix raises for the same matrix
+FAULT_CATALOGUE = [
+    ({(200, 100): 1e-9}, "not Hermitian"),
+    ({(150, 160): 1e-9j, (160, 150): 1e-9j}, "not Hermitian"),
+    ({(5, 5): 1e-11}, "trace deviates"),
+    # a residual failure in the first strip does not hide a later one
+    ({(0, 1): 1e-6, (1, 0): 1e-6, (288, 288): 1e-11}, "trace deviates"),
+    # the first failing strip words the error: its deviation, not a later one's
+    ({(0, 1): 1e-9, (100, 110): 1e-6}, "from row 0"),
+    ({(0, 1): 1e-9, (100, 110): np.nan}, "not Hermitian"),
+    # finite partners whose difference overflows: not Hermitian, and no
+    # RuntimeWarning first
+    ({(100, 200): 1.7e308, (200, 100): -1.7e308}, "not Hermitian .max deviation inf in the strip from row 96"),
+    # (200, 100) lies in the lower block of the fourth strip only: a fault
+    # in only the imaginary part of the entry, then in only its real part
+    ({(200, 100): 3e-9j}, r"^matrix is not Hermitian \(max deviation 3\.000e-09 in the strip from row 96\)$"),
+    ({(200, 100): -2e-9}, r"^matrix is not Hermitian \(max deviation 2\.000e-09 in the strip from row 96\)$"),
+]
+
+
+@pytest.mark.parametrize("faults, message", FAULT_CATALOGUE)
 @pytest.mark.filterwarnings("error")
 def test_separability_raises_the_density_matrix_error(monkeypatch, faults, message):
     for cs in CS_289:
@@ -459,6 +475,135 @@ def test_separability_raises_the_density_matrix_error(monkeypatch, faults, messa
             with pytest.raises(ValueError) as raised:
                 separability_structure_check(*cxy(cs), 1e-10)
         assert str(raised.value) == str(expected.value)
+
+
+def _stack_verdicts(sets, tol):
+    """{index: verdict or error message} of a stack of draws, split by oracle.per_entry as verify splits it."""
+    c, x, y = stacked_cxy(sets)
+    ok = np.zeros(len(sets), dtype=bool)
+
+    def run(idx):
+        ok[idx] = separability_structure_check(c[idx], x[idx], y[idx], tol)
+
+    errors = oracle.per_entry(run, len(sets))
+    return {i: str(errors[i]) if i in errors else bool(ok[i]) for i in range(len(sets))}
+
+
+def _alone(cs, tol):
+    """A draw's verdict, or its error message, when it is checked on its own."""
+    try:
+        return separability_structure_check(*cxy(cs), tol)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-17])
+def test_separability_gives_each_draw_of_a_stack_its_verdict_alone(tol):
+    # a pass takes whole matrices of at most 32 rows together (8 at m = 2, 2 at
+    # m = 4, one from m_a m_b = 25 up), and each matrix's strips and products
+    # are those it gets alone: even at 1e-17, below the rounding of the
+    # residual, where a verdict is rounding, the stack changes none
+    for two_s in (*range(1, 9), 32):
+        for size in (1, 3, 9):
+            sets = [random_set(100 * two_s + 10 * size + i, two_s, x_max=0.5, c=random_c(i),
+                               complex_mode=i % 2 == 1) for i in range(size)]
+            c, x, y = stacked_cxy(sets)
+            got = separability_structure_check(c, x, y, tol)
+            assert got.shape == (size,) and got.dtype == bool
+            assert got.tolist() == [_alone(cs, tol) for cs in sets], (two_s, size)
+    # one draw is a bool, and a stack of two axes keeps its shape
+    assert separability_structure_check(*cxy(sets[0]), tol) is got[0].item()
+    assert separability_structure_check(c.reshape(3, 3, 4), x.reshape(3, 3, 4, 33), y.reshape(3, 3, 4, 33), tol).tolist() == got.reshape(3, 3).tolist()
+
+
+def _recorded_passes(monkeypatch, sets):
+    """{K's bytes: [(i, upper, lower, residual blocks) of each strip, as bytes]} of a stack's separability passes."""
+    passes, product_strips = collections.defaultdict(list), oracle._product_strips
+
+    def recording(k, w):
+        for i, upper, lower, residual in product_strips(k, w):
+            for j in range(len(k)):
+                passes[k[j].tobytes()].append([i, upper[j].tobytes(), lower[j].tobytes()])
+
+            def recorded_residual(i=i, residual=residual):
+                blocks = residual()
+                for j in range(len(k)):
+                    passes[k[j].tobytes()][-1] += [blocks[j].tobytes(), blocks[len(k) + j].tobytes()]
+                return blocks
+
+            yield i, upper, lower, recorded_residual
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_product_strips", recording)
+        assert separability_structure_check(*stacked_cxy(sets), 1e-10).all()
+    return passes
+
+
+@pytest.mark.parametrize("two_s", [1, 2, 3, 4, 16])
+def test_separability_pass_forms_each_draw_s_strips_as_alone(monkeypatch, two_s):
+    # every block, and every residual block, of each draw's strips is bitwise
+    # the one it gets alone, wherever the draw sits in a stack of 11
+    sets = [random_set(31 * two_s + i, two_s, x_max=0.5, c=random_c(i), complex_mode=i % 3 == 0) for i in range(11)]
+    stacked = _recorded_passes(monkeypatch, sets)
+    alone = {}
+    for cs in sets:
+        alone.update(_recorded_passes(monkeypatch, [cs]))
+    assert stacked.keys() == alone.keys() and len(alone) == len(sets)
+    for key, strips in alone.items():
+        assert stacked[key] == strips
+
+
+def test_separability_stack_whose_draws_populate_other_levels():
+    # a four-level draw and draws that leave level 3 or 4 empty share a pass at
+    # m = 2: K and W carry every level any of them populates, zero where a draw
+    # leaves it empty, and the verdicts are those alone
+    sets = [
+        _random_four_level_set(1, 1),
+        random_set(2, 1, x_max=0.5, c=(0, 0, 1, 0)),
+        random_set(3, 1, x_max=0.5, c=random_c(3), complex_mode=True),
+        random_set(4, 1, x_max=0.5, c=(0, 0, 0, 1j)),
+    ]
+    for tol in (1e-10, 1e-30):
+        assert _stack_verdicts(sets, tol) == {i: _alone(cs, tol) for i, cs in enumerate(sets)}
+    assert all(_stack_verdicts(sets, 1e-10).values())
+
+
+# Faults of the catalogue in a draw of a stack at m_a m_b = 289, one draw a
+# pass, and at 16 and 4, where a pass holds 2 or 8 draws; each with the
+# error (or verdict) it gives alone
+STACK_FAULTS = [
+    *((289, faults, message) for faults, message in FAULT_CATALOGUE),
+    (289, {(100, 40): np.nan}, "finite"),
+    (289, {(40, 35): 1e-9}, r"^matrix is not Hermitian \(max deviation 1\.000e-09 in the strip from row 32\)$"),
+    (289, _hermitian_bump(0, 1, 1e-9), None),
+    (16, {(5, 3): 1e-9}, r"^matrix is not Hermitian \(max deviation 1\.000e-09\)$"),
+    (16, {(7, 2): np.nan}, "finite"),
+    (16, {(2, 2): 1e-11}, "trace deviates"),
+    (16, _hermitian_bump(1, 0, 1e-9), None),
+    (4, {(3, 1): 1e-9}, "not Hermitian"),
+    (4, {(0, 0): 1e-11}, "trace deviates"),
+    (4, _hermitian_bump(2, 3, 1e-9), None),
+]
+
+
+@pytest.mark.parametrize("mm, faults, message", STACK_FAULTS)
+@pytest.mark.filterwarnings("error")
+def test_separability_stack_fault_in_one_draw(monkeypatch, mm, faults, message):
+    # the fault sits in draw 1 of 3 (or 5 of 9, the second of a pass of 2 or
+    # the sixth of 8); per_entry splits the stack as verify does, and every
+    # draw ends with what it gets on its own
+    two_s = math.isqrt(mm) - 1
+    size, faulty = (3, 1) if mm > 16 else (9, 5)
+    sets = [random_set(7 * mm + i, two_s, x_max=0.5, c=random_c(i), complex_mode=i % 2 == 0) for i in range(size)]
+    with monkeypatch.context() as m:
+        _inject(m, faults, target=sets[faulty])
+        got = _stack_verdicts(sets, 1e-10)
+        assert got == {i: _alone(cs, 1e-10) for i, cs in enumerate(sets)}
+    assert [i for i, v in got.items() if v is not True] == [faulty]
+    if message is None:  # a residual fault: the draw fails, with no error
+        assert got[faulty] is False
+    else:
+        assert re.search(message, got[faulty]), got[faulty]
 
 
 def _counting(monkeypatch, name):
