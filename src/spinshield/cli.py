@@ -322,9 +322,9 @@ def _verify_draws(master_seed: int, family_index: int, two_s_max: int, cases: ra
     """(c, x, y) of a family's cases, which share one two_s, stacked in case order.
 
     Each case's stream is read once: theta and the two phases of its device
-    weights, then its unit rows through the sweep engine's draw, scaled by
-    its x_max.  The arrays are bitwise those of
-    sample_coefficients(SpinDims(two_s), x_max, x_max, c, rng).
+    weights, then its unit rows through _Draws, that is model._unit_rows, the
+    draw of sample_coefficients too, scaled by its x_max last as
+    sample_coefficients(SpinDims(two_s), x_max, x_max, c, rng) scales them.
     """
     two_s = _case_point(cases[0], two_s_max)[0]
     draws = _Draws(two_s + 1, len(cases), complex_mode=False)

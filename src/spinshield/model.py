@@ -8,10 +8,9 @@ parametrized by near-product amplitudes
 
 where the perturbations ``x``, ``y`` shrink as the spins grow and ``N`` is
 fixed by unit norm.  This module owns the parameter types, the normalization
-and ``sample_coefficients``, the draw of ``single`` and the reference of every
-other draw: the sweep engine and ``verify`` read the same streams in its
-order, a stack of draws at a time, and run the closed forms and the dense
-oracle on those stacks.
+and the one draw, ``_unit_rows``: ``sample_coefficients``, the sweep engine
+and ``verify`` read every stream through it, the latter two a stack of
+draws at a time, on which they run the closed forms and the dense oracle.
 
 Note on the normalization convention: ``N`` is the unique positive number
 that makes the assembled state a unit vector, which scales like
@@ -73,14 +72,6 @@ def _frozen_array(values, shape) -> np.ndarray:
     if arr.shape != shape:
         raise ValueError(f"expected array of shape {shape}, got {arr.shape}")
     arr.setflags(write=False)
-    return arr
-
-
-def _perturbations(values, m: int) -> np.ndarray:
-    """The frozen 4 x m perturbation matrix, checked for finite entries."""
-    arr = _frozen_array(values, (4, m))
-    if not np.isfinite(arr).all():
-        raise ValueError("array entries must be finite")
     return arr
 
 
@@ -146,14 +137,15 @@ class CoefficientSet:
         c = _frozen_array(self.c, (4,))
         if not np.isfinite(c).all():
             raise ValueError("device weights must be finite")
-        x = _perturbations(self.x, self.dims.m_a)
-        y = _perturbations(self.y, self.dims.m_b)
+        for name, m in (("x", self.dims.m_a), ("y", self.dims.m_b)):
+            arr = _frozen_array(getattr(self, name), (4, m))
+            if not np.isfinite(arr).all():
+                raise ValueError("array entries must be finite")
+            object.__setattr__(self, name, arr)
         _check_unit_norm(c.tolist())
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
         # kept outside the dataclass fields, so == and repr do not see it
-        object.__setattr__(self, "_two_level", not (c[:2].any() or x[:2].any() or y[:2].any()))
+        object.__setattr__(self, "_two_level", not (c[:2].any() or self.x[:2].any() or self.y[:2].any()))
 
     @property
     def is_two_level(self) -> bool:
@@ -231,6 +223,28 @@ def x_max_schedule(two_s: int, n: int) -> float:
     return x_max
 
 
+def _unit_rows(rng: np.random.Generator, rows: np.ndarray, u=None) -> np.ndarray:
+    """``rows`` (..., m) read from the stream as unit draws, in place; ValueError unless its uniforms are finite.
+
+    Real rows read all their uniforms u at once and become 1 - u.  A complex
+    row reads its moduli u, then its phases v, into the (2, m) scratch ``u``
+    and becomes exp(2 pi i v) (1 - u).  The check precedes any arithmetic.
+    """
+    if rows.dtype != np.complex128:
+        rng.random(out=rows)
+        if not np.isfinite(rows).all():
+            raise ValueError("array entries must be finite")
+        return np.subtract(1.0, rows, out=rows)
+    u = np.empty((2, rows.shape[-1])) if u is None else u
+    for row in rows:
+        rng.random(out=u)
+        if not np.isfinite(u).all():
+            raise ValueError("array entries must be finite")
+        np.exp(np.multiply(2j * np.pi, u[1], out=row), out=row)
+        row *= np.subtract(1.0, u[0], out=u[0])
+    return rows
+
+
 def sample_coefficients(
     dims: SpinDims,
     x_max: float,
@@ -241,30 +255,22 @@ def sample_coefficients(
 ) -> CoefficientSet:
     """Draw the d=3 and d=4 perturbation rows uniformly on (0, x_max] and (0, y_max].
 
-    Entries are ``(1 - u) * bound``, and ``((1 - u) exp(2 pi i v)) * bound``
-    in complex mode, with ``u`` and ``v`` uniform on [0, 1): zero is excluded
-    exactly, and the bound is applied last, so a draw is bitwise its bound
-    times the unit draw (bound 1), as the sweep engine forms it.  The draw
-    order is part of the reproducibility contract: row d=3 then d=4, entries
-    in ascending index order, all of ``x`` before all of ``y``; in complex
-    mode each row draws its moduli u first and then its phases v.
+    Each side's two rows are one unit draw of :func:`_unit_rows`, as the
+    sweep engine and ``verify`` read them, times the side's bound, applied
+    last: ``(1 - u) * bound``, or ``(exp(2 pi i v) (1 - u)) * bound`` in
+    complex mode, with u, v uniform on [0, 1).  The draw order is part of
+    the reproducibility contract: rows d=3 then d=4 of ``x``, then of ``y``,
+    entries in ascending index order; a complex row draws its moduli u first.
     """
     if not x_max > 0 or not y_max > 0:
         raise ValueError("x_max and y_max must be positive")
     x = np.zeros((4, dims.m_a), dtype=np.complex128)
     y = np.zeros((4, dims.m_b), dtype=np.complex128)
     for rows, bound in ((x[2:4], x_max), (y[2:4], y_max)):
-        for row in rows:
-            mod = 1.0 - rng.random(row.size)
-            if complex_mode:
-                # the phase factor is built in the row itself: no complex temporary
-                np.multiply(2j * np.pi, rng.random(row.size), out=row)
-                np.exp(row, out=row)
-                row *= mod
-            else:
-                row.real = mod
-            row *= bound
-            del mod  # freed before the next row draws its own
+        # complex rows are drawn in place (the copy onto itself allocates nothing),
+        # real ones into a float scratch that is freed once copied in
+        rows[...] = _unit_rows(rng, rows if complex_mode else np.empty(rows.shape))
+        rows *= bound
     # the arrays are frozen here, so CoefficientSet adopts them without a copy
     x.setflags(write=False)
     y.setflags(write=False)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closedform, oracle
-from .model import SpinDims, _check_unit_norm, _is_integer, x_max_schedule
+from .model import SpinDims, _check_unit_norm, _is_integer, _unit_rows, x_max_schedule
 from .model import sample_coefficients  # noqa: F401  looked up by name in perfbench/tracer.PATCHES
 
 DEFAULT_TWO_S_GRID = (2, 4, 10, 20, 40, 100, 200, 400, 1000)
@@ -89,12 +89,13 @@ def _draw_bytes(dims: SpinDims) -> int:
     """Bytes one trial holds at once: 64 (m_a + m_b) + 32 max(m_a, m_b).
 
     At m_a = m_b = m that is 160 m: a single draw as a CoefficientSet, as
-    ``single`` makes it, is two 4 x m complex128 matrices
-    plus two rows of temporaries.  The engine holds less: per trial, the
-    unit draw of four complex128 rows (64 m), one side's two rows scaled by
-    one n's bound (32 m) and temporaries of at most two complex128 rows
-    (32 m), 128 m in all; per batch, one row's uniforms (16 m).  Real mode
-    holds float64 rows and no separate uniforms.
+    ``single`` makes it, is two 4 x m complex128 matrices plus two rows of
+    temporaries: a side's float64 uniforms in model._unit_rows, the one draw
+    routine, then evaluate's.  The engine holds less: per trial, the unit
+    draw of four complex128 rows (64 m), one side's two rows scaled by one
+    n's bound (32 m) and temporaries of at most two complex128 rows (32 m),
+    128 m in all; per batch, one row's uniforms (16 m).  Real mode holds
+    float64 rows and no separate uniforms.
     """
     return 64 * (dims.m_a + dims.m_b) + 32 * max(dims.m_a, dims.m_b)
 
@@ -258,11 +259,9 @@ def summarize(rows: np.ndarray, two_s: int, n: int) -> SweepPoint:
 class _Draws:
     """Buffers for a batch of trials' unit draws at one two_s, reused by each batch of a task.
 
-    A trial's stream is read in the order of sample_coefficients: rows x3,
-    x4, y3, y4, and in complex mode each row's moduli u and then its phases
-    v.  The uniforms are checked finite before any arithmetic on them, and
-    become the trial's unit rows 1 - u, times exp(2 pi i v) in complex mode.
-    ``side`` applies an n's bound last, as sample_coefficients does.
+    A trial's rows x3, x4, y3, y4 are one read of model._unit_rows, the draw
+    of sample_coefficients too, which checks the uniforms finite before any
+    arithmetic.  ``side`` applies an n's bound last, as sample_coefficients does.
     """
 
     def __init__(self, m: int, size: int, complex_mode: bool):
@@ -271,21 +270,8 @@ class _Draws:
         self.u = np.empty((2, m)) if complex_mode else None  # one complex row's u, then its v
 
     def draw(self, t: int, rng: np.random.Generator) -> None:
-        """Read the batch's trial t from its stream and form its unit rows; ValueError unless finite."""
-        unit = self.unit[t]
-        if self.u is None:
-            rng.random(out=unit)
-            if not np.isfinite(unit).all():
-                raise ValueError("array entries must be finite")
-            np.subtract(1.0, unit, out=unit)
-            return
-        for row in unit:
-            rng.random(out=self.u)
-            if not np.isfinite(self.u).all():
-                raise ValueError("array entries must be finite")
-            np.multiply(2j * np.pi, self.u[1], out=row)
-            np.exp(row, out=row)
-            row *= np.subtract(1.0, self.u[0], out=self.u[0])
+        """Read the batch's trial t from its stream into its unit rows; ValueError unless finite."""
+        _unit_rows(rng, self.unit[t], self.u)
 
     def side(self, side: int, bound: float, size: int) -> np.ndarray:
         """Side 0 (x) or 1 (y) of the first ``size`` trials, (size, 2, m): their unit rows times bound."""

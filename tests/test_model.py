@@ -1,6 +1,7 @@
 import dataclasses
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,26 @@ def test_coefficient_set_rejects_nonfinite():
                 CoefficientSet(dims, c, zeros, zeros)
 
 
+def test_coefficient_set_checks_in_order():
+    # c's shape, c finite, x's shape, x finite, y's shape, y finite, then
+    # c's norm: each case breaks its check and every later one
+    dims = SpinDims(1)
+    x, y, nan_x, nan_y = (np.zeros((4, 2)) for _ in range(4))
+    nan_x[2, 0] = nan_y[3, 1] = np.nan
+    cases = [
+        ((0, 0, 1), "shape", nan_x, np.zeros((4, 1))),
+        ((0, 0, np.nan, 2), "device weights must be finite", np.zeros((4, 3)), nan_y),
+        ((0, 0, 1, 1), "shape", np.zeros((4, 3)), nan_y),
+        ((0, 0, 1, 1), "array entries must be finite", nan_x, np.zeros((4, 1))),
+        ((0, 0, 1, 1), "shape", x, np.zeros((4, 1))),
+        ((0, 0, 1, 1), "array entries must be finite", x, nan_y),
+        ((0, 0, 1, 1), "sum", x, y),
+    ]
+    for c, message, xs, ys in cases:
+        with pytest.raises(ValueError, match=message):
+            CoefficientSet(dims, c, xs, ys)
+
+
 def test_coefficient_set_arrays_read_only():
     cs = worked_example()
     with pytest.raises(ValueError):
@@ -210,14 +231,15 @@ def test_sample_determinism():
     assert not np.array_equal(a.x, c.x)
 
 
-def test_sample_draw_order_is_pinned():
-    # row d=3 before d=4, x before y, entries in index order
-    dims = SpinDims(2)
+@pytest.mark.parametrize("dims", [SpinDims(2), SpinDims(3, 5)], ids=lambda d: f"{d.two_s_a}-{d.two_s_b}")
+def test_sample_draw_order_is_pinned(dims):
+    # row d=3 before d=4, x before y, entries in index order, each side
+    # scaled by its own bound
     rng = np.random.Generator(np.random.PCG64(99))
     cs = sample_coefficients(dims, 0.5, 0.25, BELL_C, rng)
     ref = np.random.Generator(np.random.PCG64(99))
     for row, bound in ((cs.x[2], 0.5), (cs.x[3], 0.5), (cs.y[2], 0.25), (cs.y[3], 0.25)):
-        want = bound * (1.0 - ref.random(dims.m_a))
+        want = bound * (1.0 - ref.random(row.size))
         assert row.tobytes() == want.astype(np.complex128).tobytes()
 
 
@@ -246,6 +268,36 @@ def test_sample_rejects_nonpositive_bounds():
     rng = np.random.Generator(np.random.PCG64(0))
     with pytest.raises(ValueError):
         sample_coefficients(SpinDims(2), 0.0, 0.5, BELL_C, rng)
+
+
+class _InfAt:
+    """A PCG64 generator whose uniform number ``at``, counted across its calls, is inf."""
+
+    def __init__(self, at):
+        self.at, self.seen = at, 0
+        self.rng = np.random.Generator(np.random.PCG64(5))
+
+    def random(self, size=None, out=None):
+        out = self.rng.random(size, out=out)
+        flat = out.reshape(-1)
+        if 0 <= self.at - self.seen < flat.size:
+            flat[self.at - self.seen] = np.inf
+        self.seen += flat.size
+        return out
+
+
+@pytest.mark.parametrize("complex_mode", [False, True])
+@pytest.mark.parametrize("row", ["x3", "y4"])
+def test_sample_rejects_a_non_finite_uniform_before_any_arithmetic(row, complex_mode):
+    # the last uniform of row x3 or y4 (in complex mode a phase); the stream
+    # is checked before 1 - u or exp(2 pi i v) is formed, so no
+    # RuntimeWarning comes first, and none becomes the error under "error"
+    dims, per = SpinDims(3, 5), 2 if complex_mode else 1
+    end = dims.m_a if row == "x3" else 2 * dims.m_a + 2 * dims.m_b
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^array entries must be finite$"):
+            sample_coefficients(dims, 0.5, 0.25, BELL_C, _InfAt(per * end - 1), complex_mode)
 
 
 def test_tiny_perturbations_keep_concurrence_at_one():

@@ -1,6 +1,7 @@
 """Smoke tests for the example scripts and the README's library example: each runs to the end."""
 
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -58,3 +59,14 @@ def test_the_package_all_is_the_one_declared_import_surface():
     # the submodules declare none; a leading underscore marks their private names
     for module in ("model", "closedform", "oracle", "sweep", "cli"):
         assert not hasattr(importlib.import_module(f"spinshield.{module}"), "__all__"), module
+
+
+def test_every_perfbench_tracer_patch_binds():
+    # the benchmark's traced run patches these names; a renamed or deleted
+    # one would break it, and no tier-1 test runs the benchmark itself
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.PATCHES
+    for module, attr, name in tracer.PATCHES:
+        assert callable(tracer.binding(module, attr)[2]), (module, attr, name)
